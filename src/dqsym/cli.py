@@ -7,13 +7,16 @@ coefficient table export, and the two-variable relation check.
 
 Compositions are written as comma-separated positive integers, the
 empty string standing for the empty composition.  Exit codes: 0 on
-success, 1 when a verification fails, 2 on usage or parse errors.
+success, 1 when a verification fails, 2 on usage errors and bad input:
+any ``ValueError`` from the library ends the command with a one-line
+message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Sequence
 
@@ -38,6 +41,11 @@ class CompositionParseError(ValueError):
         self.position = position
 
 
+# ASCII digits only: str.isdigit also accepts characters such as "²"
+# that int() rejects
+_DIGITS = re.compile("[0-9]+")
+
+
 def parse_composition(text: str) -> Composition:
     """Parse 'a1,a2,...' into a composition; '' is the empty composition."""
     if text == "":
@@ -46,7 +54,7 @@ def parse_composition(text: str) -> Composition:
     position = 1
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped.isdigit():
+        if not _DIGITS.fullmatch(stripped):
             raise CompositionParseError(
                 f"expected a positive integer, got {token!r}", position
             )
@@ -231,7 +239,7 @@ def cmd_relation_check(args) -> int:
     for name, summands in candidates.items():
         value = sum(summands, zero())
         # degree of the candidate before cancellation, not of the result
-        top = max(m.x_degree() for piece in summands for m in piece.terms)
+        top = max(piece.max_x_degree() for piece in summands)
         report.append(
             {
                 "relation": name,
@@ -337,7 +345,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CompositionParseError as exc:
+    except ValueError as exc:
+        # bad input: parse errors, negative bounds, truncations too small,
+        # polynomials outside the span, degrees past the packed limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,41 @@
 """Exact sparse polynomials in two families of indexed variables.
 
 Everything in this package computes inside the ring Z[x_1, x_2, ...;
-y_1, y_2, ...].  A monomial records its x- and y-exponents as sorted
-tuples of (index, exponent) pairs, indices 1-based and exponents
-positive, so a monomial is in canonical form by construction.  A
-polynomial maps monomials to nonzero integer coefficients.  Both types
-are immutable and hashable; equality of polynomials is equality of the
-mathematical objects.
+y_1, y_2, ...].  ``Monomial`` is the readable form of a monomial: its
+x- and y-exponents as sorted tuples of (index, exponent) pairs, indices
+1-based and exponents positive.  The constructor of ``XYPolynomial``,
+``sorted_terms``, ``coefficient_of_x_monomial``, the records and the
+printed form all speak ``Monomial``.
 
-The canonical term order, used for printing and serialization, is
-graded lexicographic with the x-block before the y-block: higher total
-degree first, ties broken by the exponent vector read along
+Representation.  Inside ``XYPolynomial`` each monomial is one
+nonnegative int, its packed exponent vector (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007), with one byte per field, lowest byte first:
+
+    byte 0        total degree
+    byte 1        x-degree
+    byte 2i       exponent of x_i
+    byte 2j + 1   exponent of y_j
+
+Multiplying two monomials is adding their ints, and an int is only as
+wide as the highest variable index it uses, so indices are unbounded.
+A polynomial maps packed monomials to nonzero integer coefficients.
+Polynomials are immutable and hashable; equality of polynomials is
+equality of the mathematical objects.  ``Residual`` is the one mutable
+kind, a working copy that ``qsym.expand_in_M`` peels in place.
+
+Limit.  Every field is at most the total degree, so no field carries
+into the next while total degrees stay at most ``MAX_DEGREE`` (255).
+Products, powers and every construction from ``Monomial`` keys or
+records check the degree first and raise ``ValueError`` above the
+limit; a field never wraps.
+
+Order.  The canonical term order, used for printing and serialization,
+is graded lexicographic with the x-block before the y-block: higher
+total degree first, ties broken by the exponent vector read along
 x_1, x_2, ..., y_1, y_2, ... (higher exponent on an earlier variable
-wins).
+wins).  On packed keys of one common width that is descending order of
+(byte 0, the x bytes, the y bytes).
 """
 
 from __future__ import annotations
@@ -22,6 +45,8 @@ from typing import Iterable, Mapping, NamedTuple, Union
 Variable = tuple[str, int]
 
 ExponentPairs = tuple[tuple[int, int], ...]
+
+MAX_DEGREE = 255
 
 
 def _normalize_exponents(data) -> ExponentPairs:
@@ -43,33 +68,6 @@ def _normalize_exponents(data) -> ExponentPairs:
         if cleaned[k - 1][0] == cleaned[k][0]:
             raise ValueError(f"repeated variable index {cleaned[k][0]}")
     return tuple(cleaned)
-
-
-def _merge_exponents(a: ExponentPairs, b: ExponentPairs) -> ExponentPairs:
-    """Merge two sorted exponent tuples, adding exponents on shared indices."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia == ib:
-            out.append((ia, ea + eb))
-            i += 1
-            j += 1
-        elif ia < ib:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
 
 
 class Monomial(NamedTuple):
@@ -118,15 +116,73 @@ class Monomial(NamedTuple):
         return "*".join(bits)
 
 
+# ----------------------------------------------------------------------
+# packed monomials
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(
+            f"total degree {degree} exceeds the packed-exponent limit {MAX_DEGREE}"
+        )
+
+
+def _pack(x: ExponentPairs, y: ExponentPairs) -> int:
+    """The packed key of validated exponent pairs."""
+    x_degree = sum(e for _, e in x)
+    degree = x_degree + sum(e for _, e in y)
+    _check_degree(degree)
+    key = degree | x_degree << 8
+    for i, e in x:
+        key |= e << 16 * i
+    for j, e in y:
+        key |= e << 16 * j + 8
+    return key
+
+
+def _width(keys) -> int:
+    """Bytes needed for the widest of ``keys``."""
+    return (max(keys, default=0).bit_length() + 7) // 8
+
+
+def _fields(key: int, width: int) -> tuple[bytes, bytes]:
+    """The x- and y-exponents of a key, x_1 and y_1 first."""
+    b = key.to_bytes(width, "little")
+    return b[2::2], b[3::2]
+
+
+def _monomial(xs: bytes, ys: bytes) -> Monomial:
+    return Monomial(
+        tuple((i, e) for i, e in enumerate(xs, 1) if e),
+        tuple((j, e) for j, e in enumerate(ys, 1) if e),
+    )
+
+
+def _masks(width: int) -> tuple[int, int]:
+    """Ones over the x-fields and over the y-fields of ``width``-byte keys."""
+    pairs = (width + 1) // 2
+    x_mask = int.from_bytes(b"\0\0" + b"\xff\0" * pairs, "little")
+    return x_mask, x_mask << 8
+
+
+def _max_degree(terms: dict[int, int]) -> int:
+    return max(key & 255 for key in terms)
+
+
+def _x_free_key(key: int, y_mask: int) -> int:
+    """The key with its x-exponents removed."""
+    return key & y_mask | (key & 255) - (key >> 8 & 255)
+
+
 class XYPolynomial:
     """Integer polynomial in the x- and y-variables, in canonical form."""
 
     __slots__ = ("terms",)
 
-    terms: dict[Monomial, int]
+    terms: dict[int, int]
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        cleaned: dict[Monomial, int] = {}
+        cleaned: dict[int, int] = {}
         if terms:
             for monomial, coefficient in terms.items():
                 if not isinstance(monomial, Monomial):
@@ -134,11 +190,15 @@ class XYPolynomial:
                 if not isinstance(coefficient, int):
                     raise TypeError("coefficients must be integers")
                 if coefficient:
-                    cleaned[monomial] = coefficient
+                    key = _pack(
+                        _normalize_exponents(monomial.x),
+                        _normalize_exponents(monomial.y),
+                    )
+                    cleaned[key] = coefficient
         object.__setattr__(self, "terms", cleaned)
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, int]) -> XYPolynomial:
+    def _raw(cls, terms: dict[int, int]) -> XYPolynomial:
         # trusted constructor: terms already canonical, never shared mutably
         p = object.__new__(cls)
         object.__setattr__(p, "terms", terms)
@@ -164,7 +224,7 @@ class XYPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> XYPolynomial:
-        return XYPolynomial._raw({m: -c for m, c in self.terms.items()})
+        return XYPolynomial._raw({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other) -> XYPolynomial:
         if isinstance(other, int):
@@ -175,16 +235,16 @@ class XYPolynomial:
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        for m, c in small.items():
-            v = out.get(m)
+        for k, c in small.items():
+            v = out.get(k)
             if v is None:
-                out[m] = c
+                out[k] = c
             else:
                 v += c
                 if v:
-                    out[m] = v
+                    out[k] = v
                 else:
-                    del out[m]
+                    del out[k]
         return XYPolynomial._raw(out)
 
     __radd__ = __add__
@@ -205,29 +265,23 @@ class XYPolynomial:
                 return _ZERO
             if other == 1:
                 return self
-            return XYPolynomial._raw({m: other * c for m, c in self.terms.items()})
+            return XYPolynomial._raw({k: other * c for k, c in self.terms.items()})
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
             return _ZERO
+        _check_degree(_max_degree(a) + _max_degree(b))
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         get = out.get
-        for ma, ca in a.items():
-            ax, ay = ma
-            for mb, cb in b.items():
-                m = Monomial(_merge_exponents(ax, mb[0]), _merge_exponents(ay, mb[1]))
-                v = get(m)
-                if v is None:
-                    out[m] = ca * cb
-                else:
-                    v += ca * cb
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
         return XYPolynomial._raw(out)
 
     __rmul__ = __mul__
@@ -240,38 +294,42 @@ class XYPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                # squaring only when a higher bit still needs it keeps every
+                # intermediate within the degree of the result
+                base = base * base
         return result
 
     # ------------------------------------------------------------------
     # structure queries
 
     def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for m in self.terms:
-            out.update(m.variables())
-        return out
+        support = 0
+        for key in self.terms:
+            support |= key
+        xs, ys = _fields(support, _width((support,)))
+        return {("x", i) for i, e in enumerate(xs, 1) if e} | {
+            ("y", j) for j, e in enumerate(ys, 1) if e
+        }
 
     def is_x_free(self) -> bool:
-        return all(not m.x for m in self.terms)
+        return not any(key >> 8 & 255 for key in self.terms)
 
     def max_x_degree(self) -> int:
         """Largest total x-degree of any term, -1 for the zero polynomial."""
-        return max((m.x_degree() for m in self.terms), default=-1)
+        return max((key >> 8 & 255 for key in self.terms), default=-1)
 
     def is_homogeneous(self, degree: int) -> bool:
         """Whether every term has the given total degree."""
-        return all(m.degree() == degree for m in self.terms)
+        return all(key & 255 == degree for key in self.terms)
 
     def as_int(self) -> int:
         """The value of a constant polynomial; raises if variables remain."""
         if not self.terms:
             return 0
-        if len(self.terms) == 1:
-            (monomial, coefficient), = self.terms.items()
-            if monomial == Monomial():
-                return coefficient
+        if len(self.terms) == 1 and 0 in self.terms:
+            return self.terms[0]
         raise ValueError("polynomial is not constant")
 
     # ------------------------------------------------------------------
@@ -299,8 +357,9 @@ class XYPolynomial:
                 powers[(var, exponent)] = cached
             return cached
 
-        total: dict[Monomial, int] = {}
-        for monomial, coefficient in self.terms.items():
+        total: dict[int, int] = {}
+        for key, coefficient in self.terms.items():
+            monomial = _monomial(*_fields(key, _width((key,))))
             kept_x = []
             kept_y = []
             replaced: list[tuple[Variable, int]] = []
@@ -314,23 +373,21 @@ class XYPolynomial:
                     replaced.append((("y", index), exponent))
                 else:
                     kept_y.append((index, exponent))
-            piece = XYPolynomial._raw(
-                {Monomial(tuple(kept_x), tuple(kept_y)): coefficient}
-            )
+            piece = XYPolynomial._raw({_pack(tuple(kept_x), tuple(kept_y)): coefficient})
             for var, exponent in replaced:
                 piece = piece * power(var, exponent)
                 if not piece:
                     break
-            for m, c in piece.terms.items():
-                v = total.get(m)
+            for k, c in piece.terms.items():
+                v = total.get(k)
                 if v is None:
-                    total[m] = c
+                    total[k] = c
                 else:
                     v += c
                     if v:
-                        total[m] = v
+                        total[k] = v
                     else:
-                        del total[m]
+                        del total[k]
         return XYPolynomial._raw(total)
 
     def x_degree_component(self, degree: int) -> XYPolynomial:
@@ -338,7 +395,7 @@ class XYPolynomial:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         return XYPolynomial._raw(
-            {m: c for m, c in self.terms.items() if m.x_degree() == degree}
+            {k: c for k, c in self.terms.items() if k >> 8 & 255 == degree}
         )
 
     def coefficient_of_x_monomial(self, x_monomial: Monomial) -> XYPolynomial:
@@ -350,48 +407,86 @@ class XYPolynomial:
         """
         if x_monomial.y:
             raise ValueError("x_monomial must not involve y-variables")
-        target = x_monomial.x
+        target = 0
+        for i, e in _normalize_exponents(x_monomial.x):
+            target |= e << 16 * i
+        x_mask, y_mask = _masks(max(_width(self.terms), _width((target,))))
         return XYPolynomial._raw(
             {
-                Monomial((), m.y): c
-                for m, c in self.terms.items()
-                if m.x == target
+                _x_free_key(k, y_mask): c
+                for k, c in self.terms.items()
+                if k & x_mask == target
             }
         )
+
+    def leading_x_coefficients(self) -> dict[tuple[int, ...], XYPolynomial]:
+        """Coefficients of the x-monomials x_1^{e_1} ... x_k^{e_k}.
+
+        Keyed by the exponent tuple (e_1, ..., e_k), every e_i >= 1; each
+        value is the y-polynomial multiplying that exact x-monomial, as
+        ``coefficient_of_x_monomial`` gives it.  One pass over the terms.
+        """
+        x_mask, y_mask = _masks(_width(self.terms))
+        exponents_of: dict[int, tuple[int, ...] | None] = {}
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, coefficient in self.terms.items():
+            x_part = key & x_mask
+            if x_part in exponents_of:
+                exponents = exponents_of[x_part]
+            else:
+                xs = x_part.to_bytes(_width((x_part,)), "little")[2::2]
+                exponents = None if 0 in xs else tuple(xs)
+                exponents_of[x_part] = exponents
+            if exponents is not None:
+                group = groups.get(exponents)
+                if group is None:
+                    group = groups[exponents] = {}
+                group[_x_free_key(key, y_mask)] = coefficient
+        return {e: XYPolynomial._raw(group) for e, group in groups.items()}
 
     # ------------------------------------------------------------------
     # serialization and display
 
+    def _sorted_fields(self) -> list[tuple[bytes, bytes, int]]:
+        """(x-exponents, y-exponents, coefficient) in the canonical order."""
+        width = _width(self.terms) or 1
+        decorated = []
+        for key, c in self.terms.items():
+            b = key.to_bytes(width, "little")
+            decorated.append((b[0], b[2::2], b[3::2], c))
+        decorated.sort(reverse=True)
+        return [(xs, ys, c) for _, xs, ys, c in decorated]
+
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical order, largest monomial first."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=Monomial.sort_key)]
+        return [(_monomial(xs, ys), c) for xs, ys, c in self._sorted_fields()]
 
     def to_records(self) -> list[dict]:
         """JSON-ready term records in the canonical term order."""
         return [
             {
                 "coeff": str(c),
-                "x": [[i, e] for i, e in m.x],
-                "y": [[j, e] for j, e in m.y],
+                "x": [[i, e] for i, e in enumerate(xs, 1) if e],
+                "y": [[j, e] for j, e in enumerate(ys, 1) if e],
             }
-            for m, c in self.sorted_terms()
+            for xs, ys, c in self._sorted_fields()
         ]
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> XYPolynomial:
         """Inverse of :meth:`to_records`; tolerates non-canonical input."""
-        total: dict[Monomial, int] = {}
+        total: dict[int, int] = {}
         for record in records:
-            monomial = Monomial(
+            key = _pack(
                 _normalize_exponents(tuple((i, e) for i, e in record["x"])),
                 _normalize_exponents(tuple((j, e) for j, e in record["y"])),
             )
             coefficient = int(record["coeff"])
-            value = total.get(monomial, 0) + coefficient
+            value = total.get(key, 0) + coefficient
             if value:
-                total[monomial] = value
+                total[key] = value
             else:
-                total.pop(monomial, None)
+                total.pop(key, None)
         return cls._raw(total)
 
     def __str__(self) -> str:
@@ -419,31 +514,69 @@ class XYPolynomial:
         return f"XYPolynomial({self})"
 
 
+class Residual(XYPolynomial):
+    """A mutable working copy of a polynomial, peeled in place.
+
+    ``subtract_product`` is the only mutation; ``freeze`` returns the
+    current value as an ordinary immutable polynomial.  A residual is
+    unhashable and should stay private to the computation that made it.
+    """
+
+    __slots__ = ()
+
+    __hash__ = None
+
+    def __init__(self, p: XYPolynomial):
+        object.__setattr__(self, "terms", dict(p.terms))
+
+    def subtract_product(self, a: XYPolynomial, b: XYPolynomial) -> None:
+        """self -= a * b, without building a * b."""
+        a, b = a.terms, b.terms
+        if not a or not b:
+            return
+        _check_degree(_max_degree(a) + _max_degree(b))
+        if len(a) > len(b):
+            a, b = b, a
+        terms = self.terms
+        get = terms.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                v = get(k, 0) - ca * cb
+                if v:
+                    terms[k] = v
+                else:
+                    del terms[k]
+
+    def freeze(self) -> XYPolynomial:
+        return XYPolynomial._raw(dict(self.terms))
+
+
 def constant(value: int) -> XYPolynomial:
     """The constant polynomial ``value``."""
     if not isinstance(value, int):
         raise TypeError("constant must be an integer")
     if value == 0:
         return _ZERO
-    return XYPolynomial._raw({Monomial(): value})
+    return XYPolynomial._raw({0: value})
 
 
 def x_var(index: int) -> XYPolynomial:
     """The variable x_index as a polynomial."""
     if not isinstance(index, int) or index < 1:
         raise ValueError("index must be a positive integer")
-    return XYPolynomial._raw({Monomial(((index, 1),), ()): 1})
+    return XYPolynomial._raw({1 | 1 << 8 | 1 << 16 * index: 1})
 
 
 def y_var(index: int) -> XYPolynomial:
     """The variable y_index as a polynomial."""
     if not isinstance(index, int) or index < 1:
         raise ValueError("index must be a positive integer")
-    return XYPolynomial._raw({Monomial((), ((index, 1),)): 1})
+    return XYPolynomial._raw({1 | 1 << 16 * index + 8: 1})
 
 
 _ZERO = XYPolynomial._raw({})
-_ONE = XYPolynomial._raw({Monomial(): 1})
+_ONE = XYPolynomial._raw({0: 1})
 
 
 def zero() -> XYPolynomial:

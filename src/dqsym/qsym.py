@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition
-from .polynomial import Monomial, XYPolynomial, one, x_var, y_var, zero
+from .polynomial import Residual, XYPolynomial, constant, one, x_var, y_var, zero
 
 
 class TruncationTooSmall(ValueError):
@@ -187,16 +187,11 @@ def qsym_generator(factors: Sequence[XYPolynomial], ctx: TruncationContext) -> X
         extra = f.variables() - {("x", 1)}
         if extra:
             raise ValueError(f"factors must use only x1, found {sorted(extra)}")
-        if Monomial() in f.terms:
+        if f.x_degree_component(0):
             raise NotInMaximalIdeal("factor has a nonzero constant term")
 
     def at_variable(f: XYPolynomial, index: int) -> XYPolynomial:
-        return XYPolynomial._raw(
-            {
-                Monomial(((index, m.x[0][1]),) if m.x else (), ()): c
-                for m, c in f.terms.items()
-            }
-        )
+        return f.substitute({("x", 1): x_var(index)})
 
     total = zero()
     for indices in itertools.combinations(range(1, ctx.n_x + 1), len(factors)):
@@ -226,7 +221,7 @@ class Expansion:
                 if not isinstance(composition, Composition):
                     raise TypeError("keys must be Composition instances")
                 if isinstance(value, int):
-                    value = XYPolynomial({Monomial(): value})
+                    value = constant(value)
                 if not value.is_x_free():
                     raise ValueError(f"coefficient of {composition} involves x")
                 if value:
@@ -279,7 +274,7 @@ class Expansion:
     def scale(self, factor: XYPolynomial | int) -> Expansion:
         """Multiply every coefficient by an x-free polynomial or integer."""
         if isinstance(factor, int):
-            factor = XYPolynomial({Monomial(): factor})
+            factor = constant(factor)
         if not factor.is_x_free():
             raise ValueError("scale factor must be x-free")
         scaled = {}
@@ -317,43 +312,37 @@ def expand_in_M(p: XYPolynomial, ctx: TruncationContext) -> Expansion:
     Peels the residual from the top x-degree down.  At degree d every
     composition gamma with |gamma| = d present in the residual shows up
     through its minimal-index leading monomial x_1^{g_1}...x_k^{g_k};
-    its coefficient is read off with ``coefficient_of_x_monomial`` and
-    gamma's double monomial is subtracted.  The remaining x-free part,
-    if any, is the coefficient of the empty composition.  Raises
+    its coefficient is read off with ``leading_x_coefficients`` and
+    coefficient * M_gamma is subtracted from the residual in place,
+    without building the product.  The remaining x-free part, if any,
+    is the coefficient of the empty composition.  Raises
     NotInSpan when a round fails to lower the top x-degree or needs a
     composition outside the truncation: that happens exactly when ``p``
     is not quasisymmetric in ``ctx`` or the truncation is too small.
     """
     _check_variables(p, ctx)
     coeffs: dict[Composition, XYPolynomial] = {}
-    residual = p
+    residual = Residual(p)
     degree = residual.max_x_degree()
     while residual:
         if degree == 0:
-            coeffs[Composition()] = residual
+            coeffs[Composition()] = residual.freeze()
             break
-        component = residual.x_degree_component(degree)
-        leading = set()
-        for monomial in component.terms:
-            indices = tuple(i for i, _ in monomial.x)
-            if indices == tuple(range(1, len(indices) + 1)):
-                leading.add(monomial.x)
-        found: dict[Composition, XYPolynomial] = {}
-        for x_part in sorted(leading, key=lambda pairs: tuple(e for _, e in pairs)):
-            gamma = Composition(e for _, e in x_part)
-            found[gamma] = component.coefficient_of_x_monomial(Monomial(x_part, ()))
+        found = residual.x_degree_component(degree).leading_x_coefficients()
         if not found:
             raise NotInSpan(
                 f"no leading monomial at x-degree {degree}; not in the span"
             )
-        for gamma, coefficient in found.items():
+        for parts in sorted(found):
+            gamma = Composition(parts)
             try:
-                residual = residual - coefficient * double_monomial(gamma, ctx)
+                basis = double_monomial(gamma, ctx)
             except TruncationTooSmall as exc:
                 raise NotInSpan(
                     f"expansion needs {gamma}, outside the truncation {ctx!r}"
                 ) from exc
-            coeffs[gamma] = coefficient
+            residual.subtract_product(found[parts], basis)
+            coeffs[gamma] = found[parts]
         new_degree = residual.max_x_degree()
         if new_degree >= degree:
             raise NotInSpan(

@@ -2,8 +2,9 @@
 
 Nothing here calls back into the package's arithmetic: polynomials are
 read out through their serialized records and evaluated with plain
-integer loops, so agreement with the library is a genuine two-route
-check rather than a tautology.
+integer loops, or multiplied with the tuple-monomial kernel below, so
+agreement with the library is a genuine two-route check rather than a
+tautology.
 """
 
 import itertools
@@ -65,3 +66,75 @@ def poly_x_terms(p) -> dict[tuple, int]:
         assert record["y"] == []
         terms[tuple((i, e) for i, e in record["x"])] = int(record["coeff"])
     return terms
+
+
+# The tuple-monomial kernel: a monomial is a pair (x pairs, y pairs) of
+# sorted (index, exponent) tuples and a polynomial a dict of such pairs
+# to nonzero coefficients.  The package packs monomials into ints; this
+# is the representation it replaced, kept as the definitional route.
+
+
+def merge_exponents(a: tuple, b: tuple) -> tuple:
+    """Merge two sorted exponent tuples, adding exponents on shared indices."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ia, ea = a[i]
+        ib, eb = b[j]
+        if ia == ib:
+            out.append((ia, ea + eb))
+            i += 1
+            j += 1
+        elif ia < ib:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def tuple_product(a: dict, b: dict) -> dict:
+    """Product of two tuple-monomial term maps."""
+    out: dict = {}
+    for (ax, ay), ca in a.items():
+        for (bx, by), cb in b.items():
+            m = (merge_exponents(ax, bx), merge_exponents(ay, by))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b for tuple-monomial term maps."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def canonical_key(monomial: tuple):
+    """Ascending key of the canonical order: higher total degree first,
+    then the exponent vector along x_1, x_2, ..., y_1, y_2, ..., higher
+    exponent on an earlier variable first."""
+    x, y = monomial
+    degree = sum(e for _, e in x) + sum(e for _, e in y)
+    return (-degree, tuple((0, i, -e) for i, e in x) + tuple((1, j, -e) for j, e in y))
+
+
+def tuple_records(terms: dict) -> list[dict]:
+    """The records ``to_records`` should write for a tuple term map."""
+    return [
+        {
+            "coeff": str(terms[m]),
+            "x": [[i, e] for i, e in m[0]],
+            "y": [[j, e] for j, e in m[1]],
+        }
+        for m in sorted(terms, key=canonical_key)
+    ]

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from dqsym import cli
 from dqsym.cli import CompositionParseError, main, parse_composition
 from dqsym.compositions import Composition
 from dqsym.lrcalc import product_expand
-from dqsym.polynomial import XYPolynomial, y_var
+from dqsym.polynomial import XYPolynomial, x_var, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention
 
@@ -231,6 +232,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def _assert_bad_input(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_non_ascii_digit(self, capsys):
+        # "²".isdigit() is true, but it is no part
+        err = self._assert_bad_input(["product", "²", "1"], capsys)
+        assert "(position 1)" in err
+
+    def test_negative_tableau_shape(self, capsys):
+        self._assert_bad_input(["tableaux", "-1", "0", "0"], capsys)
+
+    def test_negative_sweep_bound(self, capsys):
+        self._assert_bad_input(["verify", "--max-size", "-1"], capsys)
+
+    def test_packed_degree_limit(self, capsys, monkeypatch):
+        def past_the_limit(alpha, beta, convention):
+            return x_var(1) ** 256
+
+        monkeypatch.setattr(cli, "product_expand", past_the_limit)
+        err = self._assert_bad_input(["product", "1", "1"], capsys)
+        assert "packed-exponent limit" in err
 
     def test_convention_values_exposed(self):
         assert {c.value for c in WeightConvention} == {

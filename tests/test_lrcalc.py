@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from dqsym import lrcalc
 from dqsym.compositions import Composition, enumerate_compositions, overlapping_shuffles
 from dqsym.lrcalc import (
     StructureCoefficient,
@@ -16,8 +17,10 @@ from dqsym.lrcalc import (
     verify_expansion,
 )
 from dqsym.polynomial import XYPolynomial, one, y_var, zero
-from dqsym.qsym import Expansion
+from dqsym.qsym import Expansion, NotInSpan, TruncationContext
 from dqsym.tableaux import WeightConvention
+
+from oracles import eval_double_monomial, eval_poly, sample_points
 
 PAPER = WeightConvention.PAPER_LITERAL
 ORACLE = WeightConvention.ORACLE_CONSISTENT
@@ -215,6 +218,82 @@ class TestVerifyExpansion:
 
     def test_paper_convention_fails(self):
         assert not verify_expansion(Composition([1]), Composition([1]), PAPER)
+
+    @pytest.mark.parametrize("convention", [ORACLE, PAPER], ids=lambda c: c.value)
+    def test_agrees_with_identity_at_points(self, convention):
+        # the product identity, checked by plain evaluation of the defining
+        # sums, holds exactly when the single certification route passes
+        for alpha in compositions_up_to(3, 2):
+            for beta in compositions_up_to(3, 2):
+                ctx = TruncationContext.for_product(alpha, beta)
+                expansion = product_expand(alpha, beta, convention)
+                holds = all(
+                    eval_double_monomial(alpha, ctx.n_x, xs, ys)
+                    * eval_double_monomial(beta, ctx.n_x, xs, ys)
+                    == sum(
+                        eval_poly(c, xs, ys) * eval_double_monomial(g, ctx.n_x, xs, ys)
+                        for g, c in expansion.items()
+                    )
+                    for xs, ys in sample_points(ctx.n_x, ctx.n_y, 3, seed=len(alpha))
+                )
+                assert verify_expansion(alpha, beta, convention) == holds
+
+    @staticmethod
+    def _tampered(monkeypatch, edit):
+        def tampered(alpha, beta, convention=ORACLE):
+            coeffs = dict(product_expand(alpha, beta, convention).coeffs)
+            edit(coeffs, alpha, beta)
+            return Expansion(coeffs)
+
+        monkeypatch.setattr(lrcalc, "product_expand", tampered)
+
+    PAIRS = [
+        (Composition([1]), Composition([1])),
+        (Composition([2]), Composition([1])),
+        (Composition([2, 1]), Composition([1, 2])),
+        (Composition([1, 1]), Composition([3])),
+    ]
+
+    def test_rejects_dropped_gamma(self, monkeypatch):
+        for position in (0, -1):
+            def drop(coeffs, alpha, beta, position=position):
+                del coeffs[sorted(coeffs, key=Composition.sort_key)[position]]
+
+            self._tampered(monkeypatch, drop)
+            for alpha, beta in self.PAIRS:
+                assert not verify_expansion(alpha, beta, ORACLE)
+
+    def test_rejects_flipped_sign(self, monkeypatch):
+        for position in (0, -1):
+            def flip(coeffs, alpha, beta, position=position):
+                gamma = sorted(coeffs, key=Composition.sort_key)[position]
+                coeffs[gamma] = -coeffs[gamma]
+
+            self._tampered(monkeypatch, flip)
+            for alpha, beta in self.PAIRS:
+                assert not verify_expansion(alpha, beta, ORACLE)
+
+    def test_rejects_added_gamma(self, monkeypatch):
+        def add_inside(coeffs, alpha, beta):
+            # a composition of the right size range that the product misses
+            missing = [g for g in support_candidates(alpha, beta) if g not in coeffs]
+            coeffs[missing[0]] = one()
+
+        def add_outside(coeffs, alpha, beta):
+            # one part more than the truncation has x-variables
+            coeffs[Composition([1] * (len(alpha) + len(beta) + 1))] = one()
+
+        for add in (add_inside, add_outside):
+            self._tampered(monkeypatch, add)
+            for alpha, beta in self.PAIRS[1:]:
+                assert not verify_expansion(alpha, beta, ORACLE)
+
+    def test_not_in_span_is_a_failure(self, monkeypatch):
+        def expand_in_M(p, ctx):
+            raise NotInSpan("no leading monomial")
+
+        monkeypatch.setattr(lrcalc, "expand_in_M", expand_in_M)
+        assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
 
 
 class TestExpansionRecords:

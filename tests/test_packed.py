@@ -1,0 +1,144 @@
+"""Packed-exponent kernel: agreement with the tuple-monomial oracle, and
+the checked degree limit of the packed fields."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqsym.polynomial import (
+    MAX_DEGREE,
+    Monomial,
+    Residual,
+    XYPolynomial,
+    constant,
+    one,
+    x_var,
+    y_var,
+)
+
+from oracles import tuple_product, tuple_records, tuple_sum
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+exponent_pairs = st.dictionaries(
+    st.integers(1, 30), st.integers(1, 4), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+monomials = st.tuples(exponent_pairs, exponent_pairs)
+coefficients = st.one_of(
+    st.integers(-5, 5), st.integers(-(2**70), 2**70)
+).filter(bool)
+term_maps = st.dictionaries(monomials, coefficients, max_size=8)
+
+
+def build(terms: dict) -> XYPolynomial:
+    return XYPolynomial({Monomial(x, y): c for (x, y), c in terms.items()})
+
+
+class TestAgainstTupleOracle:
+    @PROPERTY
+    @given(term_maps)
+    def test_construction_and_order(self, a):
+        assert build(a).to_records() == tuple_records(a)
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_mul(self, a, b):
+        assert (build(a) * build(b)).to_records() == tuple_records(tuple_product(a, b))
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_mul_with_cancellation(self, a, b):
+        # (a + b)(a - b): the cross terms a*b and b*a cancel
+        plus, minus = tuple_sum(a, b), tuple_sum(a, b, -1)
+        product = build(plus) * build(minus)
+        assert product.to_records() == tuple_records(tuple_product(plus, minus))
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_add(self, a, b):
+        assert (build(a) + build(b)).to_records() == tuple_records(tuple_sum(a, b))
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_sub(self, a, b):
+        assert (build(a) - build(b)).to_records() == tuple_records(tuple_sum(a, b, -1))
+
+    @PROPERTY
+    @given(term_maps, term_maps, term_maps)
+    def test_subtract_product_in_place(self, a, b, c):
+        residual = Residual(build(a))
+        residual.subtract_product(build(b), build(c))
+        expected = tuple_sum(a, tuple_product(b, c), -1)
+        assert residual.freeze().to_records() == tuple_records(expected)
+
+    @PROPERTY
+    @given(term_maps)
+    def test_round_trip(self, a):
+        p = build(a)
+        assert XYPolynomial.from_records(p.to_records()) == p
+
+    def test_large_indices(self):
+        p = x_var(1000) * y_var(5000) ** 2 + x_var(3)
+        assert p.to_records() == [
+            {"coeff": "1", "x": [[1000, 1]], "y": [[5000, 2]]},
+            {"coeff": "1", "x": [[3, 1]], "y": []},
+        ]
+        assert p.variables() == {("x", 3), ("x", 1000), ("y", 5000)}
+
+
+class TestDegreeLimit:
+    def test_mul(self):
+        a, b = x_var(1) ** 200, y_var(2) ** 55
+        top = a * b
+        assert top.to_records() == [{"coeff": "1", "x": [[1, 200]], "y": [[2, 55]]}]
+        assert top.max_x_degree() == 200
+        with pytest.raises(ValueError, match="packed-exponent limit"):
+            top * y_var(2)
+        with pytest.raises(ValueError):
+            y_var(2) * top
+
+    def test_single_field_at_the_limit(self):
+        p = x_var(7) ** MAX_DEGREE
+        assert p.max_x_degree() == MAX_DEGREE
+        assert p.to_records() == [{"coeff": "1", "x": [[7, 255]], "y": []}]
+        assert str(p) == "x7^255"
+        q = y_var(7) ** MAX_DEGREE
+        assert q.is_x_free() and q.is_homogeneous(MAX_DEGREE)
+
+    def test_pow(self):
+        with pytest.raises(ValueError):
+            x_var(1) ** (MAX_DEGREE + 1)
+
+    def test_pow_makes_no_unneeded_squaring(self):
+        # a final squaring of the base past the highest bit would reach
+        # degree 256 for these exponents, past the limit
+        for n in (128, 129, 200, MAX_DEGREE):
+            assert (x_var(1) ** n).to_records() == [
+                {"coeff": "1", "x": [[1, n]], "y": []}
+            ]
+        binomial = (x_var(1) - y_var(1)) ** MAX_DEGREE
+        assert len(binomial.terms) == MAX_DEGREE + 1
+        assert binomial.is_homogeneous(MAX_DEGREE)
+
+    def test_constructor(self):
+        at_limit = XYPolynomial({Monomial.make(x={1: 200}, y={3: 55}): 1})
+        assert at_limit == x_var(1) ** 200 * y_var(3) ** 55
+        with pytest.raises(ValueError):
+            XYPolynomial({Monomial.make(x={1: 200}, y={3: 56}): 1})
+
+    def test_from_records(self):
+        record = {"coeff": "1", "x": [[1, 200]], "y": [[3, 55]]}
+        assert XYPolynomial.from_records([record]) == x_var(1) ** 200 * y_var(3) ** 55
+        with pytest.raises(ValueError):
+            XYPolynomial.from_records([dict(record, y=[[3, 56]])])
+
+    def test_subtract_product(self):
+        residual = Residual(one())
+        residual.subtract_product(x_var(1) ** 200, y_var(1) ** 55)
+        with pytest.raises(ValueError):
+            residual.subtract_product(x_var(1) ** 200, y_var(1) ** 56)
+
+    def test_scalars_never_raise(self):
+        top = x_var(1) ** MAX_DEGREE
+        assert (top * constant(3)) == 3 * top
+        assert (top + 1) - top == one()
