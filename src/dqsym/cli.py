@@ -21,13 +21,7 @@ import sys
 from typing import Sequence
 
 from .compositions import Composition, enumerate_compositions, overlapping_shuffles
-from .lrcalc import (
-    expansion_records,
-    product_expand,
-    structure_coefficient,
-    support_candidates,
-    verify_expansion,
-)
+from .lrcalc import expansion_records, structure_coefficient, verify_expansion
 from .polynomial import x_var, zero
 from .qsym import TruncationContext, qsym_generator
 from .tableaux import DEFAULT_CONVENTION, WeightConvention, enumerate_tableaux
@@ -82,24 +76,18 @@ def _dump(value) -> None:
 def cmd_product(args) -> int:
     alpha = parse_composition(args.alpha)
     beta = parse_composition(args.beta)
-    convention = _convention(args)
-    expansion = product_expand(alpha, beta, convention)
-    if args.explicit_zeros:
-        compositions = support_candidates(alpha, beta)
-    else:
-        compositions = expansion.support()
+    rows = expansion_records(
+        alpha, beta, _convention(args), explicit_zeros=args.explicit_zeros
+    )
     if args.format == "json":
         _dump(
-            [
-                {"gamma": g.to_list(), "coeff": expansion[g].to_records()}
-                for g in compositions
-            ]
+            [{"gamma": r.gamma.to_list(), "coeff": r.value.to_records()} for r in rows]
         )
     else:
         _banner(args)
         print(f"M{alpha} * M{beta} =")
-        for gamma in compositions:
-            print(f"  M{gamma} * ({expansion[gamma]})")
+        for row in rows:
+            print(f"  M{row.gamma} * ({row.value})")
     return 0
 
 
@@ -275,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=["human", "json"], default="human", help="output format"
     )
-    common.add_argument(
+    # the two subcommands that print whole coefficient tables
+    zeros = argparse.ArgumentParser(add_help=False)
+    zeros.add_argument(
         "--explicit-zeros",
         action="store_true",
         help="include zero coefficients for every candidate composition",
@@ -288,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("product", parents=[common], help="expand M_alpha * M_beta")
+    p = sub.add_parser(
+        "product", parents=[common, zeros], help="expand M_alpha * M_beta"
+    )
     p.add_argument("alpha", help="comma-separated parts, '' for the empty composition")
     p.add_argument("beta")
     p.set_defaults(func=cmd_product)
@@ -324,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
-        "table", parents=[common], help="export coefficient tables as JSON lines"
+        "table", parents=[common, zeros], help="export coefficient tables as JSON lines"
     )
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--max-length", type=int, default=None)

@@ -1,4 +1,4 @@
-"""Compositions, order-preserving injections, and overlapping shuffles.
+"""Compositions, order-preserving injections, routings, overlapping shuffles.
 
 A composition is a finite sequence of positive integers; the empty
 composition is allowed and indexes the unit of every algebra in this
@@ -172,30 +172,73 @@ def enumerate_injections(source_size: int, target_size: int) -> list[OrderedInje
     ]
 
 
+def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
+    """The states of the routing walk, each after every state it steps to.
+
+    A covering routing of the parts of ``alpha`` and ``beta`` into rows
+    is a lattice path from (0, 0) to (len(alpha), len(beta)): state
+    (k, m) has placed the first k parts of alpha and the first m of
+    beta.  Each step fills the next row with the next part of alpha
+    (step A), the next part of beta (step B), or both at once (step
+    AB), for which ``merges(a, b)`` lists the possible rows as
+    (row part, weight) pairs.  Yields (k, m, steps) for every state but
+    the last, the steps as (next k, next m, row part, weight) with
+    weight None for a lone part; states come with k and then m
+    descending, so a walk that fills a table bottom-up finds every
+    state a step reaches already filled.
+    """
+    la, lb = len(alpha), len(beta)
+    for k in range(la, -1, -1):
+        for m in range(lb, -1, -1):
+            steps = []
+            if k < la:
+                steps.append((k + 1, m, alpha[k], None))
+            if m < lb:
+                steps.append((k, m + 1, beta[m], None))
+            if k < la and m < lb:
+                steps.extend(
+                    (k + 1, m + 1, part, weight)
+                    for part, weight in merges(alpha[k], beta[m])
+                )
+            if steps:
+                yield k, m, steps
+
+
+def routing_outcomes(alpha: Sequence[int], beta: Sequence[int], merges, unit) -> dict:
+    """Every outcome of the routing walk with its summed weight.
+
+    An outcome is the tuple of row parts along a path, and its weight
+    the product of the path's merge weights, ``unit`` for a path of
+    lone parts.  Filled bottom-up over ``routing_states``: the table of
+    state (k, m) maps each suffix of row parts that routes alpha[k:]
+    and beta[m:] to its summed weight, so a suffix shared by many paths
+    is extended once per step, not once per path.
+    """
+    tables = {(len(alpha), len(beta)): {(): unit}}
+    for k, m, steps in routing_states(alpha, beta, merges):
+        table: dict = {}
+        for next_k, next_m, part, weight in steps:
+            for suffix, value in tables[next_k, next_m].items():
+                if weight is not None:
+                    value = weight * value
+                key = (part,) + suffix
+                old = table.get(key)
+                table[key] = value if old is None else old + value
+        tables[k, m] = table
+    return tables[0, 0]
+
+
 def overlapping_shuffles(alpha: Composition, beta: Composition) -> Counter[Composition]:
     """Multiset of overlapping shuffles of two compositions.
 
     An overlapping shuffle interleaves the parts of ``alpha`` and
     ``beta``, keeping each one's internal order, with any number of
-    pairwise collisions where one part of each is added.  Concretely:
-    for every n and every pair of order-preserving injections
-    iota: [1..len(alpha)] -> [1..n], jota: [1..len(beta)] -> [1..n]
-    whose images jointly cover [1..n], emit the composition whose i-th
-    part is the alpha-part routed to i plus the beta-part routed to i.
-    The result counts each outcome with multiplicity.
+    pairwise collisions where one part of each is added.  Equivalently,
+    for every pair of order-preserving injections of the two part
+    sequences into [1..n] whose images jointly cover [1..n], the
+    composition whose i-th part sums the parts routed to i.  Counted by
+    ``routing_outcomes``, whose merge step is the one row a + b with
+    weight 1.
     """
-    la, lb = len(alpha), len(beta)
-    counts: Counter[Composition] = Counter()
-    for n in range(max(la, lb), la + lb + 1):
-        full = frozenset(range(1, n + 1))
-        for iota in enumerate_injections(la, n):
-            for jota in enumerate_injections(lb, n):
-                if iota.image_set | jota.image_set != full:
-                    continue
-                counts[
-                    Composition(
-                        iota.part_at(alpha, i) + jota.part_at(beta, i)
-                        for i in range(1, n + 1)
-                    )
-                ] += 1
-    return counts
+    outcomes = routing_outcomes(alpha, beta, lambda a, b: ((a + b, 1),), 1)
+    return Counter({Composition(parts): count for parts, count in outcomes.items()})

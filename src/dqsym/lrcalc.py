@@ -11,6 +11,11 @@ polynomial in the y-variables, homogeneous of degree
 |alpha| + |beta| - |gamma|; setting every y to 0 leaves the overlapping
 shuffle multiplicity of gamma.
 
+That sum is the definition.  ``product_expand`` and
+``structure_coefficient`` compute it by one walk over the routings as
+lattice paths (``compositions.routing_states``): a skyline's rows are
+chosen independently, so the sum factors row by row along each path.
+
 ``verify_expansion`` certifies a coefficient table against exact
 polynomial arithmetic in a sufficient truncation, by one route: it
 re-derives the table from the expanded product with
@@ -22,7 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compositions import Composition, enumerate_compositions, enumerate_injections
+from .compositions import (
+    Composition,
+    enumerate_compositions,
+    enumerate_injections,
+    routing_outcomes,
+    routing_states,
+)
 from .qsym import (
     Expansion,
     NotInSpan,
@@ -58,6 +69,22 @@ class StructureCoefficient:
         }
 
 
+def _merges(convention: WeightConvention):
+    """The AB step of the product rule: a merged row of inner a and
+    content b has a length c in [max(a, b), a + b] and weighs that
+    shape's weight sum; shapes with no tableau are left out."""
+
+    def merges(a: int, b: int) -> list[tuple[int, XYPolynomial]]:
+        rows = []
+        for c in range(max(a, b), a + b + 1):
+            row_sum = row_weight_sum(c, a, b, convention)
+            if row_sum:
+                rows.append((c, row_sum))
+        return rows
+
+    return merges
+
+
 def structure_coefficient(
     alpha: Composition,
     beta: Composition,
@@ -66,32 +93,38 @@ def structure_coefficient(
 ) -> XYPolynomial:
     """The coefficient of M_gamma in M_alpha * M_beta.
 
-    Sums skyline weights over every covering pair of order-preserving
-    injections.  Because a skyline's rows are chosen independently, the
-    inner sum factors as a product over rows of single-row weight sums;
-    ``enumerate_skylines`` realizes the same set explicitly.
+    Runs the routing walk of ``product_expand`` constrained to gamma,
+    bottom-up over the states (k, m, row): the summed weight of the
+    routings of alpha[k:] and beta[m:] onto the rows gamma[row:].  A
+    lone part must equal its row's part and weighs 1; a merged row
+    weighs its row weight sum.  The walk visits
+    O(len(alpha) * len(beta) * len(gamma)) states, and equals the
+    module's injection-pair definition because a skyline's rows are
+    chosen independently, so the skyline sum factors row by row.
     """
-    n = len(gamma)
-    total = zero()
-    full = frozenset(range(1, n + 1))
-    for iota in enumerate_injections(len(alpha), n):
-        for jota in enumerate_injections(len(beta), n):
-            if iota.image_set | jota.image_set != full:
-                continue
-            pair_total = one()
-            for i in range(1, n + 1):
-                row_sum = row_weight_sum(
-                    gamma[i - 1],
-                    iota.part_at(alpha, i),
-                    jota.part_at(beta, i),
-                    convention,
-                )
-                if not row_sum:
-                    pair_total = zero()
-                    break
-                pair_total = pair_total * row_sum
-            total = total + pair_total
-    return total
+    la, lb, n = len(alpha), len(beta), len(gamma)
+    ahead = {(la, lb): {n: one()}}
+    for k, m, steps in routing_states(alpha, beta, _merges(convention)):
+        here: dict[int, XYPolynomial] = {}
+        # the parts left fill between max(la - k, lb - m) and
+        # (la - k) + (lb - m) rows, so only these rows can start here
+        for row in range(
+            max(0, n - (la - k) - (lb - m)), n - max(la - k, lb - m) + 1
+        ):
+            total = None
+            for next_k, next_m, part, weight in steps:
+                if part != gamma[row]:
+                    continue
+                rest = ahead[next_k, next_m].get(row + 1)
+                if rest is None:
+                    continue
+                if weight is not None:
+                    rest = weight * rest
+                total = rest if total is None else total + rest
+            if total is not None:
+                here[row] = total
+        ahead[k, m] = here
+    return ahead[0, 0].get(0, zero())
 
 
 def skyline_census(
@@ -140,44 +173,18 @@ def product_expand(
 ) -> Expansion:
     """The full expansion of M_alpha * M_beta, zero coefficients omitted.
 
-    Walks every routing of the two part sequences directly instead of
-    probing each candidate gamma separately: each row of the outcome
-    consumes the next part of alpha, of beta, or of both, and a merged
-    row of inner a and content b can have any length c in
-    [max(a, b), a + b], contributing that shape's weight sum.  The
-    result agrees with ``structure_coefficient`` on every composition.
+    One routing walk (``compositions.routing_outcomes``) over all gamma
+    at once: each row of the outcome takes the next part of alpha, of
+    beta, or of both, and a merged row of inner a and content b has any
+    length c in [max(a, b), a + b], weighted by that shape's row weight
+    sum.  The walk is memoized on the state (k, m):
+    its table maps each suffix of gamma's parts routing alpha[k:] and
+    beta[m:] to its summed coefficient, so paths that share a suffix
+    are merged once.  The result agrees with ``structure_coefficient``
+    on every composition.
     """
-    la, lb = len(alpha), len(beta)
-    coeffs: dict[Composition, XYPolynomial] = {}
-
-    def emit(parts: list[int], weight: XYPolynomial) -> None:
-        gamma = Composition(parts)
-        merged = coeffs.get(gamma)
-        coeffs[gamma] = weight if merged is None else merged + weight
-
-    def walk(k: int, m: int, parts: list[int], weight: XYPolynomial) -> None:
-        if k == la and m == lb:
-            emit(parts, weight)
-            return
-        if k < la:
-            parts.append(alpha[k])
-            walk(k + 1, m, parts, weight)
-            parts.pop()
-        if m < lb:
-            parts.append(beta[m])
-            walk(k, m + 1, parts, weight)
-            parts.pop()
-        if k < la and m < lb:
-            a, b = alpha[k], beta[m]
-            for c in range(max(a, b), a + b + 1):
-                row_sum = row_weight_sum(c, a, b, convention)
-                if row_sum:
-                    parts.append(c)
-                    walk(k + 1, m + 1, parts, weight * row_sum)
-                    parts.pop()
-
-    walk(0, 0, [], one())
-    return Expansion(coeffs)
+    outcomes = routing_outcomes(alpha, beta, _merges(convention), one())
+    return Expansion({Composition(parts): value for parts, value in outcomes.items()})
 
 
 def verify_expansion(

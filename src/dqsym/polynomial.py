@@ -4,8 +4,8 @@ Everything in this package computes inside the ring Z[x_1, x_2, ...;
 y_1, y_2, ...].  ``Monomial`` is the readable form of a monomial: its
 x- and y-exponents as sorted tuples of (index, exponent) pairs, indices
 1-based and exponents positive.  The constructor of ``XYPolynomial``,
-``sorted_terms``, ``coefficient_of_x_monomial``, the records and the
-printed form all speak ``Monomial``.
+``sorted_terms``, the records and the printed form all speak
+``Monomial``.
 
 Representation.  Inside ``XYPolynomial`` each monomial is one
 nonnegative int, its packed exponent vector (Monagan and Pearce,
@@ -398,33 +398,13 @@ class XYPolynomial:
             {k: c for k, c in self.terms.items() if k >> 8 & 255 == degree}
         )
 
-    def coefficient_of_x_monomial(self, x_monomial: Monomial) -> XYPolynomial:
-        """The y-polynomial multiplying an exact x-monomial.
-
-        ``x_monomial`` must be free of y-variables.  The result collects
-        every term of ``self`` whose x-part equals it, with the x-part
-        removed.
-        """
-        if x_monomial.y:
-            raise ValueError("x_monomial must not involve y-variables")
-        target = 0
-        for i, e in _normalize_exponents(x_monomial.x):
-            target |= e << 16 * i
-        x_mask, y_mask = _masks(max(_width(self.terms), _width((target,))))
-        return XYPolynomial._raw(
-            {
-                _x_free_key(k, y_mask): c
-                for k, c in self.terms.items()
-                if k & x_mask == target
-            }
-        )
-
     def leading_x_coefficients(self) -> dict[tuple[int, ...], XYPolynomial]:
         """Coefficients of the x-monomials x_1^{e_1} ... x_k^{e_k}.
 
-        Keyed by the exponent tuple (e_1, ..., e_k), every e_i >= 1; each
-        value is the y-polynomial multiplying that exact x-monomial, as
-        ``coefficient_of_x_monomial`` gives it.  One pass over the terms.
+        Keyed by the exponent tuple (e_1, ..., e_k), every e_i >= 1, the
+        x-free part under the key (); each value collects the terms of
+        ``self`` whose x-part is exactly that x-monomial, with the x-part
+        removed.  One pass over the terms.
         """
         x_mask, y_mask = _masks(_width(self.terms))
         exponents_of: dict[int, tuple[int, ...] | None] = {}

@@ -1,14 +1,24 @@
 """Independent brute-force routes used to cross-check the library.
 
-Nothing here calls back into the package's arithmetic: polynomials are
-read out through their serialized records and evaluated with plain
-integer loops, or multiplied with the tuple-monomial kernel below, so
-agreement with the library is a genuine two-route check rather than a
-tautology.
+The evaluation helpers and the tuple-monomial kernel call nothing of
+the package's arithmetic: polynomials are read out through their
+serialized records and evaluated with plain integer loops, or
+multiplied with the tuple-monomial kernel, so agreement with the
+library is a genuine two-route check rather than a tautology.  The
+routing oracles at the end enumerate differently from the library's
+memoized walk (all injection pairs, or one recursive walk per path)
+but share its row weight sums and polynomial arithmetic, which the
+tests check on their own.
 """
 
 import itertools
 import random
+from collections import Counter
+
+from dqsym.compositions import Composition, enumerate_injections
+from dqsym.polynomial import one, zero
+from dqsym.qsym import Expansion
+from dqsym.tableaux import DEFAULT_CONVENTION, row_weight_sum
 
 
 def eval_poly(p, xs: dict[int, int], ys: dict[int, int]) -> int:
@@ -138,3 +148,80 @@ def tuple_records(terms: dict) -> list[dict]:
         }
         for m in sorted(terms, key=canonical_key)
     ]
+
+
+# Routing oracles: the structure coefficient and the overlapping shuffles
+# by their injection-pair definitions, and the product expansion by one
+# recursive walk per routing path, nothing shared between paths.
+
+
+def injection_structure_coefficient(alpha, beta, gamma, convention=DEFAULT_CONVENTION):
+    """Sum over every covering pair of order-preserving injections of
+    the product of the rows' weight sums."""
+    n = len(gamma)
+    total = zero()
+    full = frozenset(range(1, n + 1))
+    for iota in enumerate_injections(len(alpha), n):
+        for jota in enumerate_injections(len(beta), n):
+            if iota.image_set | jota.image_set != full:
+                continue
+            pair_total = one()
+            for i in range(1, n + 1):
+                row_sum = row_weight_sum(
+                    gamma[i - 1],
+                    iota.part_at(alpha, i),
+                    jota.part_at(beta, i),
+                    convention,
+                )
+                if not row_sum:
+                    pair_total = zero()
+                    break
+                pair_total = pair_total * row_sum
+            total = total + pair_total
+    return total
+
+
+def recursive_product_expand(alpha, beta, convention=DEFAULT_CONVENTION):
+    """The expansion of M_alpha * M_beta, one recursive walk per path."""
+    la, lb = len(alpha), len(beta)
+    coeffs = {}
+
+    def walk(k, m, parts, weight):
+        if k == la and m == lb:
+            gamma = Composition(parts)
+            merged = coeffs.get(gamma)
+            coeffs[gamma] = weight if merged is None else merged + weight
+            return
+        if k < la:
+            walk(k + 1, m, parts + [alpha[k]], weight)
+        if m < lb:
+            walk(k, m + 1, parts + [beta[m]], weight)
+        if k < la and m < lb:
+            a, b = alpha[k], beta[m]
+            for c in range(max(a, b), a + b + 1):
+                row_sum = row_weight_sum(c, a, b, convention)
+                if row_sum:
+                    walk(k + 1, m + 1, parts + [c], weight * row_sum)
+
+    walk(0, 0, [], one())
+    return Expansion(coeffs)
+
+
+def injection_overlapping_shuffles(alpha, beta):
+    """Overlapping shuffles counted over every covering injection pair:
+    the i-th part sums the parts of alpha and beta routed to i."""
+    la, lb = len(alpha), len(beta)
+    counts = Counter()
+    for n in range(max(la, lb), la + lb + 1):
+        full = frozenset(range(1, n + 1))
+        for iota in enumerate_injections(la, n):
+            for jota in enumerate_injections(lb, n):
+                if iota.image_set | jota.image_set != full:
+                    continue
+                counts[
+                    Composition(
+                        iota.part_at(alpha, i) + jota.part_at(beta, i)
+                        for i in range(1, n + 1)
+                    )
+                ] += 1
+    return counts

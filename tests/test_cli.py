@@ -74,6 +74,13 @@ class TestProductCommand:
         assert expansion == product_expand(Composition([2]), Composition([1, 1]))
         assert expansion.to_records() == payload
 
+    def test_explicit_zeros(self, capsys):
+        argv = ["product", "2", "1", "--format", "json", "--explicit-zeros"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["gamma"] for r in payload] == [[2], [1, 1], [3], [1, 2], [2, 1]]
+        assert payload[1]["coeff"] == []
+
 
 class TestCoeffCommand:
     def test_json(self, capsys):
@@ -233,6 +240,19 @@ class TestExitCodes:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    def test_explicit_zeros_only_on_tables(self):
+        # only product and table print whole coefficient tables
+        for argv in (
+            ["coeff", "1", "1", "2"],
+            ["tableaux", "4", "2", "3"],
+            ["shuffles", "1", "1"],
+            ["verify", "--max-size", "1"],
+            ["relation-check"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*argv, "--explicit-zeros"])
+            assert excinfo.value.code == 2
+
     def _assert_bad_input(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -251,10 +271,10 @@ class TestExitCodes:
         self._assert_bad_input(["verify", "--max-size", "-1"], capsys)
 
     def test_packed_degree_limit(self, capsys, monkeypatch):
-        def past_the_limit(alpha, beta, convention):
+        def past_the_limit(alpha, beta, convention, explicit_zeros):
             return x_var(1) ** 256
 
-        monkeypatch.setattr(cli, "product_expand", past_the_limit)
+        monkeypatch.setattr(cli, "expansion_records", past_the_limit)
         err = self._assert_bad_input(["product", "1", "1"], capsys)
         assert "packed-exponent limit" in err
 

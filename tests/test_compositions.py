@@ -15,6 +15,8 @@ from dqsym.compositions import (
     positive_part,
 )
 
+from oracles import injection_overlapping_shuffles
+
 
 class TestComposition:
     def test_validation(self):
@@ -178,3 +180,13 @@ class TestOverlappingShuffles:
                 counts = overlapping_shuffles(alpha, beta)
                 assert counts == overlapping_shuffles(beta, alpha)
                 assert sum(counts.values()) == covering_pair_count(len(alpha), len(beta))
+
+    def test_matches_injection_pairs(self):
+        # the memoized walk against the injection-pair definition
+        compositions = [c for c in enumerate_compositions(5, 5) if c.size() <= 5]
+        assert len(compositions) == 32
+        for alpha in compositions:
+            for beta in compositions:
+                assert overlapping_shuffles(alpha, beta) == (
+                    injection_overlapping_shuffles(alpha, beta)
+                )

@@ -192,23 +192,27 @@ class TestDegreeComponents:
         assert p.x_degree_component(2) == expected
 
 
-class TestCoefficientOfXMonomial:
+class TestLeadingXCoefficients:
     def test_monomial_itself(self):
         p = x_var(1) - y_var(1)
-        assert p.coefficient_of_x_monomial(Monomial.make(x=[(1, 1)])) == one()
+        assert p.leading_x_coefficients()[(1,)] == one()
 
     def test_constant_part(self):
         p = x_var(1) - y_var(1)
-        assert p.coefficient_of_x_monomial(Monomial()) == -y_var(1)
+        assert p.leading_x_coefficients()[()] == -y_var(1)
 
     def test_two_binomials(self):
         p = (x_var(1) - y_var(1)) * (x_var(1) - y_var(2))
-        assert p.coefficient_of_x_monomial(Monomial.make(x=[(1, 2)])) == one()
-        assert p.coefficient_of_x_monomial(Monomial.make(x=[(1, 1)])) == -(y_var(1) + y_var(2))
+        assert p.leading_x_coefficients() == {
+            (2,): one(),
+            (1,): -(y_var(1) + y_var(2)),
+            (): y_var(1) * y_var(2),
+        }
 
-    def test_rejects_y_part(self):
-        with pytest.raises(ValueError):
-            one().coefficient_of_x_monomial(Monomial.make(y=[(1, 1)]))
+    def test_skips_gapped_x_monomials(self):
+        # x_2 alone skips x_1, so it is no x_1^{e_1} ... x_k^{e_k}
+        p = x_var(2) + x_var(1) * x_var(2) - y_var(1)
+        assert p.leading_x_coefficients() == {(1, 1): one(), (): -y_var(1)}
 
 
 class TestSerialization:

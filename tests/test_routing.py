@@ -1,0 +1,85 @@
+"""The memoized routing walks against their definitional oracles.
+
+``product_expand`` and ``structure_coefficient`` walk the routings of
+alpha's and beta's parts once per state; the oracles enumerate every
+injection pair, or walk every path separately.
+"""
+
+from math import comb
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dqsym.compositions import Composition
+from dqsym.lrcalc import product_expand, structure_coefficient
+from dqsym.polynomial import one
+from dqsym.qsym import Expansion
+from dqsym.tableaux import WeightConvention
+
+from oracles import injection_structure_coefficient, recursive_product_expand
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# the injection-pair oracle checks C(n, len(alpha)) * C(n, len(beta)) pairs
+ORACLE_PAIRS = 20_000
+
+
+def _within(parts: list[int], size: int = 6) -> Composition:
+    """The longest prefix of ``parts`` of size at most ``size``."""
+    kept, total = [], 0
+    for part in parts:
+        if total + part > size:
+            break
+        kept.append(part)
+        total += part
+    return Composition(kept)
+
+
+# ones are drawn often, so long compositions come up
+parts = st.one_of(st.just(1), st.integers(1, 6))
+compositions = st.lists(parts, max_size=6).map(_within)
+conventions = st.sampled_from(list(WeightConvention))
+
+
+@PROPERTY
+@given(compositions, compositions, conventions)
+def test_product_expand_matches_recursive_walk(alpha, beta, convention):
+    assert product_expand(alpha, beta, convention) == recursive_product_expand(
+        alpha, beta, convention
+    )
+
+
+@PROPERTY
+@given(compositions, compositions, conventions, st.data())
+def test_structure_coefficient_matches_injection_pairs(alpha, beta, convention, data):
+    la, lb = len(alpha), len(beta)
+    expansion = product_expand(alpha, beta, convention)
+    largest = alpha.max_part() + beta.max_part()
+    # inside the support, anywhere in the length window, or longer than
+    # every routing
+    gamma = data.draw(
+        st.one_of(
+            st.sampled_from(expansion.support()),
+            st.lists(
+                st.integers(1, largest + 1),
+                min_size=max(la, lb),
+                max_size=la + lb,
+            ).map(Composition),
+            st.lists(
+                st.integers(1, 3), min_size=la + lb + 1, max_size=la + lb + 2
+            ).map(Composition),
+        )
+    )
+    n = len(gamma)
+    assume(comb(n, la) * comb(n, lb) <= ORACLE_PAIRS)
+    value = structure_coefficient(alpha, beta, gamma, convention)
+    assert value == injection_structure_coefficient(alpha, beta, gamma, convention)
+    assert value == expansion[gamma]
+
+
+def test_long_inputs_need_no_recursion():
+    # a walk of 1,100 steps, past the interpreter's recursion limit
+    long = Composition([1] * 1100)
+    assert product_expand(long, Composition()) == Expansion({long: one()})
+    assert structure_coefficient(long, Composition(), long) == one()
+    assert not structure_coefficient(long, Composition(), Composition([1] * 1099))
