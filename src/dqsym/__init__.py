@@ -13,7 +13,6 @@ from .compositions import (
     enumerate_compositions,
     enumerate_injections,
     overlapping_shuffles,
-    positive_part,
 )
 from .qsym import (
     Expansion,
@@ -79,7 +78,6 @@ __all__ = [
     "monomial_qsym",
     "one",
     "overlapping_shuffles",
-    "positive_part",
     "product_expand",
     "qsym_generator",
     "row_weight_sum",

@@ -2,9 +2,7 @@
 
 A composition is a finite sequence of positive integers; the empty
 composition is allowed and indexes the unit of every algebra in this
-package.  Weak compositions (entries allowed to be zero) are passed
-around as plain integer sequences; ``positive_part`` turns one into a
-composition by dropping its zeros.
+package.
 
 The canonical order on compositions, used wherever a deterministic
 sweep or serialization order is needed, is graded: first by the sum of
@@ -79,14 +77,6 @@ class Composition:
         return f"Composition({list(self.parts)})"
 
 
-def positive_part(weak: Sequence[int]) -> Composition:
-    """Drop the zero entries of a weak composition, keeping the order."""
-    for part in weak:
-        if not isinstance(part, int) or part < 0:
-            raise ValueError(f"weak composition entries must be >= 0, got {part!r}")
-    return Composition(part for part in weak if part)
-
-
 def enumerate_compositions(max_length: int, max_part: int) -> list[Composition]:
     """All compositions with at most ``max_length`` parts, each at most
     ``max_part``, in the canonical graded order.
@@ -101,6 +91,36 @@ def enumerate_compositions(max_length: int, max_part: int) -> list[Composition]:
         for parts in itertools.product(range(1, max_part + 1), repeat=length)
     ]
     found.sort(key=Composition.sort_key)
+    return found
+
+
+def compositions_of_size(size: int, max_length: int, max_part: int) -> list[Composition]:
+    """All compositions of ``size`` with at most ``max_length`` parts,
+    each at most ``max_part``, in the canonical graded order (by length,
+    then lexicographically).
+
+    Built from the last part forward, keeping the tails of j parts only
+    for the sums that the parts before them can still complete to
+    ``size``, so every tail built ends some composition returned.
+    """
+    if size < 0 or max_length < 0 or max_part < 0:
+        raise ValueError("size and bounds must be >= 0")
+    found = []
+    for length in range(min(max_length, size) + 1):
+        tails: dict[int, list[tuple[int, ...]]] = {0: [()]}
+        for j in range(1, length + 1):
+            left = length - j
+            tails = {
+                total: [
+                    (first,) + tail
+                    for first in range(1, max_part + 1)
+                    for tail in tails.get(total - first, ())
+                ]
+                for total in range(
+                    max(j, size - left * max_part), min(j * max_part, size - left) + 1
+                )
+            }
+        found.extend(Composition(parts) for parts in tails.get(size, ()))
     return found
 
 
@@ -180,10 +200,10 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
     (k, m) has placed the first k parts of alpha and the first m of
     beta.  Each step fills the next row with the next part of alpha
     (step A), the next part of beta (step B), or both at once (step
-    AB), for which ``merges(a, b)`` lists the possible rows as
-    (row part, weight) pairs.  Yields (k, m, steps) for every state but
-    the last, the steps as (next k, next m, row part, weight) with
-    weight None for a lone part; states come with k and then m
+    AB), for which ``merges(a, b)`` maps each possible row part to its
+    weight.  Yields (k, m, steps) for every state but the last, the
+    steps as (next k, next m, row part, weight) with weight None for a
+    lone part; states come with k and then m
     descending, so a walk that fills a table bottom-up finds every
     state a step reaches already filled.
     """
@@ -198,7 +218,7 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
             if k < la and m < lb:
                 steps.extend(
                     (k + 1, m + 1, part, weight)
-                    for part, weight in merges(alpha[k], beta[m])
+                    for part, weight in merges(alpha[k], beta[m]).items()
                 )
             if steps:
                 yield k, m, steps
@@ -240,5 +260,5 @@ def overlapping_shuffles(alpha: Composition, beta: Composition) -> Counter[Compo
     ``routing_outcomes``, whose merge step is the one row a + b with
     weight 1.
     """
-    outcomes = routing_outcomes(alpha, beta, lambda a, b: ((a + b, 1),), 1)
+    outcomes = routing_outcomes(alpha, beta, lambda a, b: {a + b: 1}, 1)
     return Counter({Composition(parts): count for parts, count in outcomes.items()})

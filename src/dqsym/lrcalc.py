@@ -15,6 +15,12 @@ That sum is the definition.  ``product_expand`` and
 ``structure_coefficient`` compute it by one walk over the routings as
 lattice paths (``compositions.routing_states``): a skyline's rows are
 chosen independently, so the sum factors row by row along each path.
+Both walks compute under ORACLE_CONSISTENT and take their merged rows
+from ``tableaux.cp_product``, so the one-variable identity
+chi_a * chi_b = sum_c cp_product(a, b)[c] * chi_c is the very table
+they use.  The PAPER_LITERAL coefficient is the oracle-consistent one
+times (-1)**(|alpha| + |beta| - |gamma|); that sign is applied where a
+coefficient leaves the walk.
 
 ``verify_expansion`` certifies a coefficient table against exact
 polynomial arithmetic in a sufficient truncation, by one route: it
@@ -26,10 +32,11 @@ because ``expand_in_M`` returns only once its residual is exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .compositions import (
     Composition,
-    enumerate_compositions,
+    compositions_of_size,
     enumerate_injections,
     routing_outcomes,
     routing_states,
@@ -44,8 +51,8 @@ from .qsym import (
 from .tableaux import (
     DEFAULT_CONVENTION,
     WeightConvention,
+    cp_product,
     enumerate_skylines,
-    row_weight_sum,
 )
 from .polynomial import XYPolynomial, one, zero
 
@@ -69,20 +76,29 @@ class StructureCoefficient:
         }
 
 
-def _merges(convention: WeightConvention):
-    """The AB step of the product rule: a merged row of inner a and
-    content b has a length c in [max(a, b), a + b] and weighs that
-    shape's weight sum; shapes with no tableau are left out."""
+def _in_convention(
+    value: XYPolynomial,
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    gamma: Sequence[int],
+    convention: WeightConvention,
+) -> XYPolynomial:
+    """An oracle-consistent coefficient of M_gamma in M_alpha * M_beta,
+    written in ``convention``.
 
-    def merges(a: int, b: int) -> list[tuple[int, XYPolynomial]]:
-        rows = []
-        for c in range(max(a, b), a + b + 1):
-            row_sum = row_weight_sum(c, a, b, convention)
-            if row_sum:
-                rows.append((c, row_sum))
-        return rows
-
-    return merges
+    The two conventions weigh a tableau alike up to the sign
+    (-1)**(number of edge labels).  A row of shape c/a with content b
+    has a + b - c edge labels (a lone part's row has none), so every
+    skyline routing alpha and beta onto gamma has
+    |alpha| + |beta| - |gamma| of them, and the paper-literal
+    coefficient is the oracle-consistent one times
+    (-1)**(|alpha| + |beta| - |gamma|).
+    """
+    if convention is WeightConvention.PAPER_LITERAL and (
+        sum(alpha) + sum(beta) - sum(gamma)
+    ) % 2:
+        return -value
+    return value
 
 
 def structure_coefficient(
@@ -96,15 +112,15 @@ def structure_coefficient(
     Runs the routing walk of ``product_expand`` constrained to gamma,
     bottom-up over the states (k, m, row): the summed weight of the
     routings of alpha[k:] and beta[m:] onto the rows gamma[row:].  A
-    lone part must equal its row's part and weighs 1; a merged row
-    weighs its row weight sum.  The walk visits
+    lone part must equal its row's part and weighs 1; a merged row of
+    c boxes weighs cp_product(a, b)[c].  The walk visits
     O(len(alpha) * len(beta) * len(gamma)) states, and equals the
     module's injection-pair definition because a skyline's rows are
     chosen independently, so the skyline sum factors row by row.
     """
     la, lb, n = len(alpha), len(beta), len(gamma)
     ahead = {(la, lb): {n: one()}}
-    for k, m, steps in routing_states(alpha, beta, _merges(convention)):
+    for k, m, steps in routing_states(alpha, beta, cp_product):
         here: dict[int, XYPolynomial] = {}
         # the parts left fill between max(la - k, lb - m) and
         # (la - k) + (lb - m) rows, so only these rows can start here
@@ -124,14 +140,11 @@ def structure_coefficient(
             if total is not None:
                 here[row] = total
         ahead[k, m] = here
-    return ahead[0, 0].get(0, zero())
+    return _in_convention(ahead[0, 0].get(0, zero()), alpha, beta, gamma, convention)
 
 
 def skyline_census(
-    alpha: Composition,
-    beta: Composition,
-    gamma: Composition,
-    convention: WeightConvention = DEFAULT_CONVENTION,
+    alpha: Composition, beta: Composition, gamma: Composition
 ) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list]:
     """Skyline stacks grouped by injection pair, keyed by image tuples.
 
@@ -155,14 +168,12 @@ def support_candidates(alpha: Composition, beta: Composition) -> list[Compositio
     every part at most the sum of the largest parts, and
     max(|alpha|, |beta|) <= |gamma| <= |alpha| + |beta|.
     """
-    lower = max(alpha.size(), beta.size())
-    upper = alpha.size() + beta.size()
+    max_length = len(alpha) + len(beta)
+    max_part = alpha.max_part() + beta.max_part()
     return [
         gamma
-        for gamma in enumerate_compositions(
-            len(alpha) + len(beta), alpha.max_part() + beta.max_part()
-        )
-        if lower <= gamma.size() <= upper
+        for size in range(max(alpha.size(), beta.size()), alpha.size() + beta.size() + 1)
+        for gamma in compositions_of_size(size, max_length, max_part)
     ]
 
 
@@ -176,15 +187,20 @@ def product_expand(
     One routing walk (``compositions.routing_outcomes``) over all gamma
     at once: each row of the outcome takes the next part of alpha, of
     beta, or of both, and a merged row of inner a and content b has any
-    length c in [max(a, b), a + b], weighted by that shape's row weight
-    sum.  The walk is memoized on the state (k, m):
+    length c in [max(a, b), a + b], weighted by cp_product(a, b)[c],
+    that shape's row weight sum.  The walk is memoized on the state (k, m):
     its table maps each suffix of gamma's parts routing alpha[k:] and
     beta[m:] to its summed coefficient, so paths that share a suffix
     are merged once.  The result agrees with ``structure_coefficient``
     on every composition.
     """
-    outcomes = routing_outcomes(alpha, beta, _merges(convention), one())
-    return Expansion({Composition(parts): value for parts, value in outcomes.items()})
+    outcomes = routing_outcomes(alpha, beta, cp_product, one())
+    return Expansion(
+        {
+            Composition(parts): _in_convention(value, alpha, beta, parts, convention)
+            for parts, value in outcomes.items()
+        }
+    )
 
 
 def verify_expansion(

@@ -15,7 +15,13 @@ giving (y_{i + 1 + r(i)} - y_i); this is the orientation under which
 the product of two truncated double monomial functions equals its
 tableau expansion as an exact polynomial identity (see
 ``lrcalc.verify_expansion``), and it is the package default.  The two
-differ by (-1)**(number of edge labels) per tableau.
+differ by (-1)**(number of edge labels) per tableau, and a tableau of
+shape c/a with content b has a + b - c edge labels.  So the product
+rule computes under ORACLE_CONSISTENT only, its merged rows given by
+``cp_product`` at the default convention, and ``lrcalc`` turns a
+coefficient paper-literal by one sign as it leaves the rule.  Single
+tableaux, ``row_weight_sum`` and ``cp_product`` still take either
+convention, so the per-tableau paper-literal weights stay available.
 
 A skyline stack assembles one row per part of an outcome composition
 gamma: row i has shape gamma_i / (part of alpha routed to i) and
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .compositions import Composition, OrderedInjection
-from .polynomial import XYPolynomial, one, y_var, zero
+from .polynomial import XYPolynomial, _check_degree, one, y_var, zero
 
 
 class WeightConvention(enum.Enum):
@@ -76,7 +82,14 @@ class SkewEdgeTableau:
         )
 
     def weight(self, convention: WeightConvention = DEFAULT_CONVENTION) -> XYPolynomial:
-        """Product over labeled edges of oriented y-differences."""
+        """Product over labeled edges of oriented y-differences.
+
+        Its degree is the number of labeled edges, checked against the
+        packed-exponent limit before anything is multiplied: the
+        product of k distinct binomials has up to 2**k terms, so the
+        check in ``*`` alone would fire only after about 2**255 terms.
+        """
+        _check_degree(len(self.edge_labels))
         result = one()
         for i in sorted(self.edge_labels):
             partner = i + 1 + self.labels_right(i)

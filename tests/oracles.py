@@ -5,17 +5,19 @@ the package's arithmetic: polynomials are read out through their
 serialized records and evaluated with plain integer loops, or
 multiplied with the tuple-monomial kernel, so agreement with the
 library is a genuine two-route check rather than a tautology.  The
-routing oracles at the end enumerate differently from the library's
-memoized walk (all injection pairs, or one recursive walk per path)
-but share its row weight sums and polynomial arithmetic, which the
-tests check on their own.
+routing oracles enumerate differently from the library's memoized walk
+(all injection pairs, or one recursive walk per path) but share its row
+weight sums and polynomial arithmetic, which the tests check on their
+own; they sum per-tableau weights in either convention, where the
+library computes oracle-consistent and signs at the end.  The support
+bounds oracle filters every composition within the bounds.
 """
 
 import itertools
 import random
 from collections import Counter
 
-from dqsym.compositions import Composition, enumerate_injections
+from dqsym.compositions import Composition, enumerate_compositions, enumerate_injections
 from dqsym.polynomial import one, zero
 from dqsym.qsym import Expansion
 from dqsym.tableaux import DEFAULT_CONVENTION, row_weight_sum
@@ -225,3 +227,21 @@ def injection_overlapping_shuffles(alpha, beta):
                     )
                 ] += 1
     return counts
+
+
+# The support bounds of a product, by filtering every composition within
+# the length and part bounds.
+
+
+def filtered_support_candidates(alpha, beta):
+    """The support bounds by their definition: every composition within
+    the length and part bounds, kept when its size lies in the window."""
+    lower = max(alpha.size(), beta.size())
+    upper = alpha.size() + beta.size()
+    return [
+        gamma
+        for gamma in enumerate_compositions(
+            len(alpha) + len(beta), alpha.max_part() + beta.max_part()
+        )
+        if lower <= gamma.size() <= upper
+    ]

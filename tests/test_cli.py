@@ -278,6 +278,17 @@ class TestExitCodes:
         err = self._assert_bad_input(["product", "1", "1"], capsys)
         assert "packed-exponent limit" in err
 
+    def test_tableau_weight_past_degree_limit(self, capsys):
+        # each command meets one tableau with 299 or 300 labelled edges,
+        # whose weight would have 2**299 or 2**300 terms
+        for argv in (
+            ["tableaux", "300", "299", "300"],
+            ["product", "300", "300"],
+            ["coeff", "300", "300", "300"],
+        ):
+            err = self._assert_bad_input(argv, capsys)
+            assert "packed-exponent limit" in err
+
     def test_convention_values_exposed(self):
         assert {c.value for c in WeightConvention} == {
             "paper-literal",

@@ -1,7 +1,6 @@
 """Compositions, injections, and the overlapping shuffle multiset."""
 
 import math
-import random
 from collections import Counter
 
 import pytest
@@ -9,10 +8,10 @@ import pytest
 from dqsym.compositions import (
     Composition,
     OrderedInjection,
+    compositions_of_size,
     enumerate_compositions,
     enumerate_injections,
     overlapping_shuffles,
-    positive_part,
 )
 
 from oracles import injection_overlapping_shuffles
@@ -52,27 +51,6 @@ class TestComposition:
         ]
 
 
-class TestPositivePart:
-    def test_paper_example(self):
-        assert positive_part((1, 7, 0, 0, 5, 0, 5)) == Composition([1, 7, 5, 5])
-
-    def test_all_zero(self):
-        assert positive_part((0, 0, 0)) == Composition()
-
-    def test_no_zeros(self):
-        assert positive_part((2, 3)) == Composition([2, 3])
-
-    def test_size_preserved(self):
-        rng = random.Random(0)
-        for _ in range(30):
-            weak = [rng.randint(0, 4) for _ in range(rng.randint(0, 6))]
-            assert positive_part(weak).size() == sum(weak)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            positive_part((1, -1))
-
-
 class TestEnumerateCompositions:
     def test_small_listings(self):
         assert enumerate_compositions(1, 2) == [
@@ -101,6 +79,26 @@ class TestEnumerateCompositions:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             enumerate_compositions(-1, 2)
+
+
+class TestCompositionsOfSize:
+    def test_matches_filtered_enumeration(self):
+        for max_length in range(6):
+            for max_part in range(5):
+                every = enumerate_compositions(max_length, max_part)
+                for size in range(max_length * max_part + 2):
+                    assert compositions_of_size(size, max_length, max_part) == [
+                        c for c in every if c.size() == size
+                    ]
+
+    def test_long_compositions(self):
+        # one part per unit: no recursion, however long
+        assert compositions_of_size(1100, 1100, 1) == [Composition([1] * 1100)]
+        assert compositions_of_size(5, 4, 1) == []
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            compositions_of_size(-1, 2, 2)
 
 
 class TestOrderedInjection:

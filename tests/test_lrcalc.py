@@ -20,7 +20,12 @@ from dqsym.polynomial import XYPolynomial, one, y_var, zero
 from dqsym.qsym import Expansion, NotInSpan, TruncationContext
 from dqsym.tableaux import WeightConvention
 
-from oracles import eval_double_monomial, eval_poly, sample_points
+from oracles import (
+    eval_double_monomial,
+    eval_poly,
+    filtered_support_candidates,
+    sample_points,
+)
 
 PAPER = WeightConvention.PAPER_LITERAL
 ORACLE = WeightConvention.ORACLE_CONSISTENT
@@ -68,7 +73,7 @@ class TestStructureCoefficient:
         for alpha, beta in pairs:
             for gamma in support_candidates(alpha, beta):
                 for convention in (PAPER, ORACLE):
-                    census = skyline_census(alpha, beta, gamma, convention)
+                    census = skyline_census(alpha, beta, gamma)
                     total = zero()
                     for skylines in census.values():
                         for skyline in skylines:
@@ -77,7 +82,7 @@ class TestStructureCoefficient:
 
     def test_paper_example_census(self):
         census = skyline_census(
-            Composition([3, 2]), Composition([2, 3]), Composition([3, 2, 4]), PAPER
+            Composition([3, 2]), Composition([2, 3]), Composition([3, 2, 4])
         )
         assert len(census) == 9
         nonempty = {key for key, val in census.items() if val}
@@ -204,6 +209,14 @@ class TestSupportCandidates:
     def test_unit_case(self):
         candidates = support_candidates(Composition(), Composition([2]))
         assert candidates == [Composition([2])]
+
+    def test_matches_enumerate_then_filter(self):
+        compositions = compositions_up_to(3)
+        for alpha in compositions:
+            for beta in compositions:
+                assert support_candidates(alpha, beta) == filtered_support_candidates(
+                    alpha, beta
+                )
 
 
 class TestVerifyExpansion:

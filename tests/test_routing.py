@@ -10,7 +10,7 @@ from math import comb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqsym.compositions import Composition
+from dqsym.compositions import Composition, enumerate_compositions
 from dqsym.lrcalc import product_expand, structure_coefficient
 from dqsym.polynomial import one
 from dqsym.qsym import Expansion
@@ -75,6 +75,21 @@ def test_structure_coefficient_matches_injection_pairs(alpha, beta, convention, 
     value = structure_coefficient(alpha, beta, gamma, convention)
     assert value == injection_structure_coefficient(alpha, beta, gamma, convention)
     assert value == expansion[gamma]
+
+
+def test_paper_literal_matches_per_tableau_oracles():
+    # the walks compute oracle-consistent and sign each coefficient on the
+    # way out; both oracles sum paper-literal tableau weights themselves
+    paper = WeightConvention.PAPER_LITERAL
+    sweep = [c for c in enumerate_compositions(3, 4) if c.size() <= 4]
+    for alpha in sweep:
+        for beta in sweep:
+            expansion = product_expand(alpha, beta, paper)
+            assert expansion == recursive_product_expand(alpha, beta, paper)
+            for gamma in expansion.support():
+                assert structure_coefficient(
+                    alpha, beta, gamma, paper
+                ) == injection_structure_coefficient(alpha, beta, gamma, paper)
 
 
 def test_long_inputs_need_no_recursion():

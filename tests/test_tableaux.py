@@ -171,8 +171,10 @@ class TestCpProduct:
     def test_product_identity(self):
         # the correctness anchor: chi_a * chi_b = sum_c coeff[c] * chi_c
         # holds exactly under the oracle-consistent orientation
-        for a in range(1, 5):
-            for b in range(1, 5):
+        # parts up to 6 cover every part of the size <= 6 sweeps, whose
+        # merged rows the routing walk reads from this table
+        for a in range(1, 7):
+            for b in range(1, 7):
                 chi_a, chi_b = cell_class(a, 1), cell_class(b, 1)
                 expansion = zero()
                 for c, coefficient in cp_product(a, b, ORACLE).items():
