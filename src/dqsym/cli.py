@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .compositions import Composition, enumerate_compositions, overlapping_shuffles
 from .lrcalc import expansion_records, structure_coefficient, verify_expansion
-from .polynomial import x_var, zero
+from .polynomial import RecordsEncoder, x_var, zero
 from .qsym import TruncationContext, qsym_generator
 from .tableaux import DEFAULT_CONVENTION, WeightConvention, enumerate_tableaux
 
@@ -73,6 +73,15 @@ def _dump(value) -> None:
     print(json.dumps(value))
 
 
+# Coefficient tables are written as JSON text built by hand, with the
+# key order and separators of json.dumps: a composition's parts by
+# _parts_text, a coefficient's records by one RecordsEncoder per command.
+
+
+def _parts_text(composition: Composition) -> str:
+    return "[" + ", ".join(map(str, composition)) + "]"
+
+
 def cmd_product(args) -> int:
     alpha = parse_composition(args.alpha)
     beta = parse_composition(args.beta)
@@ -80,8 +89,16 @@ def cmd_product(args) -> int:
         alpha, beta, _convention(args), explicit_zeros=args.explicit_zeros
     )
     if args.format == "json":
-        _dump(
-            [{"gamma": r.gamma.to_list(), "coeff": r.value.to_records()} for r in rows]
+        encode = RecordsEncoder().encode
+        print(
+            "["
+            + ", ".join(
+                [
+                    f'{{"gamma": {_parts_text(r.gamma)}, "coeff": {encode(r.value)}}}'
+                    for r in rows
+                ]
+            )
+            + "]"
         )
     else:
         _banner(args)
@@ -115,11 +132,13 @@ def cmd_coeff(args) -> int:
 def cmd_tableaux(args) -> int:
     convention = _convention(args)
     tableaux = enumerate_tableaux(args.boxes, args.empty, args.content)
+    # every weight before the first line, so bad input leaves no stdout
+    weights = [t.weight(convention) for t in tableaux]
     if args.format == "json":
         _dump(
             [
-                dict(t.to_record(), weight=t.weight(convention).to_records())
-                for t in tableaux
+                dict(t.to_record(), weight=w.to_records())
+                for t, w in zip(tableaux, weights)
             ]
         )
     else:
@@ -128,9 +147,9 @@ def cmd_tableaux(args) -> int:
             f"{len(tableaux)} tableau(x) of shape {args.boxes}/{args.empty},"
             f" content {args.content}"
         )
-        for tableau in tableaux:
+        for tableau, weight in zip(tableaux, weights):
             edges = "{" + ",".join(str(i) for i in sorted(tableau.edge_labels)) + "}"
-            print(f"  edges {edges}: weight {tableau.weight(convention)}")
+            print(f"  edges {edges}: weight {weight}")
     return 0
 
 
@@ -194,19 +213,29 @@ def cmd_table(args) -> int:
     convention = _convention(args)
     max_length = args.max_length if args.max_length is not None else args.max_size
     compositions = _sweep(args.max_size, max_length)
+    encode = RecordsEncoder().encode
+    write = sys.stdout.write
     if args.format == "human":
         _banner(args)
     for alpha in compositions:
+        pair_head = f'{{"alpha": {_parts_text(alpha)}, "beta": '
         for beta in compositions:
-            for row in expansion_records(
+            rows = expansion_records(
                 alpha, beta, convention, explicit_zeros=args.explicit_zeros
-            ):
-                if args.format == "json":
-                    _dump(row.to_record())
-                else:
-                    print(
-                        f"c[{row.alpha}, {row.beta} -> {row.gamma}] = {row.value}"
+            )
+            if args.format == "json":
+                head = f'{pair_head}{_parts_text(beta)}, "gamma": '
+                write(
+                    "".join(
+                        [
+                            f'{head}{_parts_text(r.gamma)}, "coeff": {encode(r.value)}}}\n'
+                            for r in rows
+                        ]
                     )
+                )
+            else:
+                for row in rows:
+                    print(f"c[{row.alpha}, {row.beta} -> {row.gamma}] = {row.value}")
     return 0
 
 

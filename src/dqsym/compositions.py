@@ -30,6 +30,13 @@ class Composition:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _raw(cls, parts: tuple[int, ...]) -> Composition:
+        # trusted constructor: parts already a tuple of positive ints
+        c = object.__new__(cls)
+        object.__setattr__(c, "parts", parts)
+        return c
+
     def __setattr__(self, name, value):
         raise AttributeError("Composition is immutable")
 

@@ -192,13 +192,18 @@ def product_expand(
     its table maps each suffix of gamma's parts routing alpha[k:] and
     beta[m:] to its summed coefficient, so paths that share a suffix
     are merged once.  The result agrees with ``structure_coefficient``
-    on every composition.
+    on every composition.  The walk's outcomes are tuples of positive
+    parts with x-free values, so the result is built unchecked; only
+    the sums that cancel to zero are dropped.
     """
     outcomes = routing_outcomes(alpha, beta, cp_product, one())
-    return Expansion(
+    return Expansion._raw(
         {
-            Composition(parts): _in_convention(value, alpha, beta, parts, convention)
+            Composition._raw(parts): _in_convention(
+                value, alpha, beta, parts, convention
+            )
             for parts, value in outcomes.items()
+            if value
         }
     )
 

@@ -36,6 +36,13 @@ total degree first, ties broken by the exponent vector read along
 x_1, x_2, ..., y_1, y_2, ... (higher exponent on an earlier variable
 wins).  On packed keys of one common width that is descending order of
 (byte 0, the x bytes, the y bytes).
+
+Serialization.  ``to_records`` gives a polynomial's JSON-ready term
+records.  ``RecordsEncoder`` writes the JSON text of those records
+straight from the packed terms, equal to ``json.dumps`` of them, and
+remembers each monomial's sort key and text for as long as the encoder
+lives; the CLI writes its coefficient tables with one encoder per
+command.
 """
 
 from __future__ import annotations
@@ -169,6 +176,20 @@ def _max_degree(terms: dict[int, int]) -> int:
     return max(key & 255 for key in terms)
 
 
+def _add_into(out: dict[int, int], terms: Mapping[int, int]) -> None:
+    """out += terms in place, dropping the coefficients that cancel."""
+    for k, c in terms.items():
+        v = out.get(k)
+        if v is None:
+            out[k] = c
+        else:
+            v += c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+
+
 def _x_free_key(key: int, y_mask: int) -> int:
     """The key with its x-exponents removed."""
     return key & y_mask | (key & 255) - (key >> 8 & 255)
@@ -235,16 +256,7 @@ class XYPolynomial:
         if len(big) < len(small):
             big, small = small, big
         out = dict(big)
-        for k, c in small.items():
-            v = out.get(k)
-            if v is None:
-                out[k] = c
-            else:
-                v += c
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+        _add_into(out, small)
         return XYPolynomial._raw(out)
 
     __radd__ = __add__
@@ -378,16 +390,7 @@ class XYPolynomial:
                 piece = piece * power(var, exponent)
                 if not piece:
                     break
-            for k, c in piece.terms.items():
-                v = total.get(k)
-                if v is None:
-                    total[k] = c
-                else:
-                    v += c
-                    if v:
-                        total[k] = v
-                    else:
-                        del total[k]
+            _add_into(total, piece.terms)
         return XYPolynomial._raw(total)
 
     def x_degree_component(self, degree: int) -> XYPolynomial:
@@ -492,6 +495,53 @@ class XYPolynomial:
 
     def __repr__(self) -> str:
         return f"XYPolynomial({self})"
+
+
+def _pairs_text(exponents: bytes) -> str:
+    """JSON text of the (index, exponent) pairs of one variable family."""
+    pairs = [f"[{i}, {e}]" for i, e in enumerate(exponents, 1) if e]
+    return "[" + ", ".join(pairs) + "]"
+
+
+class RecordsEncoder:
+    """The JSON text of ``to_records``, written straight from packed terms.
+
+    ``encode(p)`` equals ``json.dumps(p.to_records())``, key order and
+    separators included.  The encoder remembers, for each packed
+    monomial it has met, the monomial's canonical sort key and its
+    ``"x": [...], "y": [...]`` text, so a table whose coefficients share
+    monomials builds each monomial's text once.  The sort key is
+    (total degree, x bytes, y bytes) with trailing zero bytes stripped,
+    which orders as ``_sorted_fields`` does: a stripped field that is a
+    prefix of another sorts first, as its zero padding would.  The
+    memo grows with the distinct monomials met, so an encoder should
+    live no longer than one table.
+    """
+
+    __slots__ = ("_monomials",)
+
+    def __init__(self):
+        self._monomials: dict[int, tuple[tuple[int, bytes, bytes], str]] = {}
+
+    def _monomial(self, key: int) -> tuple[tuple[int, bytes, bytes], str]:
+        b = key.to_bytes(_width((key,)) or 1, "little")
+        xs, ys = b[2::2].rstrip(b"\0"), b[3::2].rstrip(b"\0")
+        entry = ((b[0], xs, ys), f'"x": {_pairs_text(xs)}, "y": {_pairs_text(ys)}')
+        self._monomials[key] = entry
+        return entry
+
+    def encode(self, p: XYPolynomial) -> str:
+        memo = self._monomials
+        entries = [
+            (memo.get(key) or self._monomial(key), c) for key, c in p.terms.items()
+        ]
+        # sort keys are distinct, so the texts are never compared
+        entries.sort(reverse=True)
+        return (
+            "["
+            + ", ".join([f'{{"coeff": "{c}", {text}}}' for (_, text), c in entries])
+            + "]"
+        )
 
 
 class Residual(XYPolynomial):

@@ -228,6 +228,13 @@ class Expansion:
                     cleaned[composition] = value
         object.__setattr__(self, "coeffs", cleaned)
 
+    @classmethod
+    def _raw(cls, coeffs: dict[Composition, XYPolynomial]) -> Expansion:
+        # trusted constructor: nonzero x-free coefficients, never shared mutably
+        e = object.__new__(cls)
+        object.__setattr__(e, "coeffs", coeffs)
+        return e
+
     def __setattr__(self, name, value):
         raise AttributeError("Expansion is immutable")
 
@@ -267,9 +274,7 @@ class Expansion:
                 total[composition] = merged
             else:
                 total.pop(composition, None)
-        out = Expansion()
-        object.__setattr__(out, "coeffs", total)
-        return out
+        return Expansion._raw(total)
 
     def scale(self, factor: XYPolynomial | int) -> Expansion:
         """Multiply every coefficient by an x-free polynomial or integer."""
@@ -282,9 +287,7 @@ class Expansion:
             product = value * factor
             if product:
                 scaled[composition] = product
-        out = Expansion()
-        object.__setattr__(out, "coeffs", scaled)
-        return out
+        return Expansion._raw(scaled)
 
     def to_records(self) -> list[dict]:
         """JSON-ready records sorted by the canonical composition order."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .compositions import Composition, OrderedInjection
-from .polynomial import XYPolynomial, _check_degree, one, y_var, zero
+from .polynomial import XYPolynomial, _add_into, _check_degree, one, y_var
 
 
 class WeightConvention(enum.Enum):
@@ -134,11 +134,12 @@ def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTab
 def row_weight_sum(
     outer: int, inner: int, content: int, convention: WeightConvention
 ) -> XYPolynomial:
-    """Sum of weights over all tableaux of one shape and content."""
-    total = zero()
+    """Sum of weights over all tableaux of one shape and content,
+    accumulated in one terms dict rather than copied per tableau."""
+    terms: dict[int, int] = {}
     for tableau in enumerate_tableaux(outer, inner, content):
-        total = total + tableau.weight(convention)
-    return total
+        _add_into(terms, tableau.weight(convention).terms)
+    return XYPolynomial._raw(terms)
 
 
 def cp_product(

@@ -289,6 +289,16 @@ class TestExitCodes:
             err = self._assert_bad_input(argv, capsys)
             assert "packed-exponent limit" in err
 
+    def test_bad_input_prints_no_stdout(self, capsys):
+        # the check fires before the first line, so no partial table
+        for argv in (
+            ["tableaux", "300", "299", "300"],
+            ["tableaux", "300", "299", "300", "--format", "json"],
+            ["product", "300", "300"],
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().out == ""
+
     def test_convention_values_exposed(self):
         assert {c.value for c in WeightConvention} == {
             "paper-literal",

@@ -1,0 +1,107 @@
+"""The hand-built JSON of coefficient tables: ``RecordsEncoder`` and the
+``table`` and ``product`` commands against ``json.dumps`` of the records."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqsym import cli
+from dqsym.compositions import Composition
+from dqsym.lrcalc import expansion_records
+from dqsym.polynomial import Monomial, RecordsEncoder, XYPolynomial, constant, zero
+from dqsym.tableaux import WeightConvention
+
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+exponent_pairs = st.dictionaries(
+    st.integers(1, 40), st.integers(1, 4), max_size=4
+).map(lambda d: tuple(sorted(d.items())))
+coefficients = st.one_of(
+    st.integers(-5, 5), st.integers(-(2**70), 2**70)
+).filter(bool)
+polynomials = st.dictionaries(
+    st.tuples(exponent_pairs, exponent_pairs), coefficients, max_size=8
+).map(lambda terms: XYPolynomial({Monomial(x, y): c for (x, y), c in terms.items()}))
+
+# one encoder for every example, so later examples meet a warm memo
+ENCODER = RecordsEncoder()
+
+
+class TestRecordsEncoder:
+    @PROPERTY
+    @given(polynomials)
+    def test_matches_json_dumps(self, p):
+        assert ENCODER.encode(p) == json.dumps(p.to_records())
+        # the second encoding reads every monomial from the memo
+        assert ENCODER.encode(p) == json.dumps(p.to_records())
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 7, 2**70, -(2**70)])
+    def test_zero_and_constants(self, value):
+        p = constant(value)
+        assert ENCODER.encode(p) == json.dumps(p.to_records())
+
+    def test_fields_of_different_widths(self):
+        # one degree, x-parts that are prefixes of one another: the
+        # stripped sort key must order them as their zero padding does
+        p = XYPolynomial(
+            {
+                Monomial(((1, 2),)): 1,
+                Monomial(((1, 1), (40, 1))): 2,
+                Monomial(((1, 1),), ((40, 1),)): 3,
+                Monomial(((1, 1),), ((1, 1),)): 4,
+                Monomial(((2, 1),), ((1, 1),)): 5,
+                Monomial((), ((1, 1), (2, 1))): 6,
+                Monomial((), ((2, 2),)): 7,
+                Monomial((), ((1, 1),)): 8,
+                Monomial(): 9,
+            }
+        )
+        assert RecordsEncoder().encode(p) == json.dumps(p.to_records())
+
+    def test_zero_is_empty_list(self):
+        assert RecordsEncoder().encode(zero()) == "[]"
+
+
+def expected_table_lines(max_size, max_length, convention, explicit_zeros):
+    compositions = cli._sweep(max_size, max_length)
+    return [
+        json.dumps(row.to_record())
+        for alpha in compositions
+        for beta in compositions
+        for row in expansion_records(alpha, beta, convention, explicit_zeros)
+    ]
+
+
+class TestTableText:
+    @pytest.mark.parametrize("explicit_zeros", [False, True])
+    @pytest.mark.parametrize("convention", [c.value for c in WeightConvention])
+    def test_table_lines_match_json_dumps(self, capsys, convention, explicit_zeros):
+        argv = ["table", "--max-size", "4", "--max-length", "3", "--format", "json"]
+        argv += ["--convention", convention]
+        if explicit_zeros:
+            argv.append("--explicit-zeros")
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = expected_table_lines(
+            4, 3, WeightConvention(convention), explicit_zeros
+        )
+        assert lines == expected
+
+    @pytest.mark.parametrize("explicit_zeros", [False, True])
+    @pytest.mark.parametrize("convention", [c.value for c in WeightConvention])
+    def test_product_matches_json_dumps(self, capsys, convention, explicit_zeros):
+        alpha, beta = Composition([1, 2]), Composition([2, 1, 1])
+        argv = ["product", "1,2", "2,1,1", "--format", "json"]
+        argv += ["--convention", convention]
+        if explicit_zeros:
+            argv.append("--explicit-zeros")
+        assert cli.main(argv) == 0
+        rows = expansion_records(
+            alpha, beta, WeightConvention(convention), explicit_zeros
+        )
+        expected = json.dumps(
+            [{"gamma": r.gamma.to_list(), "coeff": r.value.to_records()} for r in rows]
+        )
+        assert capsys.readouterr().out == expected + "\n"

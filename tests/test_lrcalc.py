@@ -112,6 +112,29 @@ class TestProductExpand:
         specialized = {g.parts: y_to_zero(v) for g, v in expansion.items() if y_to_zero(v)}
         assert specialized == {(2, 1): 1, (1, 2): 1, (3, ): 1}
 
+    def test_unchecked_build_is_valid(self):
+        # product_expand builds its keys and its Expansion unchecked; every
+        # entry must still pass the checks of Composition and Expansion
+        for alpha, beta in itertools.product(compositions_up_to(4), repeat=2):
+            for convention in (PAPER, ORACLE):
+                expansion = product_expand(alpha, beta, convention)
+                for gamma, value in expansion.coeffs.items():
+                    assert type(gamma) is Composition
+                    assert Composition(gamma.parts) == gamma
+                    assert all(type(part) is int for part in gamma.parts)
+                    assert type(value) is XYPolynomial
+                    assert value and value.is_x_free()
+                assert Expansion(expansion.coeffs) == expansion
+
+    def test_drops_zero_outcomes(self, monkeypatch):
+        # no sweep so far sums a routing outcome to zero, so feed one in
+        def outcomes(alpha, beta, merges, unit):
+            return {(1,): zero(), (2,): y_var(1)}
+
+        monkeypatch.setattr(lrcalc, "routing_outcomes", outcomes)
+        expansion = product_expand(Composition([1]), Composition([1]))
+        assert expansion.coeffs == {Composition([2]): y_var(1)}
+
     def test_agrees_with_structure_coefficient(self):
         pairs = [
             (Composition([1]), Composition([1])),

@@ -146,6 +146,16 @@ class TestRowWeightSum:
                 total = total + tableau.weight(PAPER)
             assert row_weight_sum(c, a, b, PAPER) == total
 
+    def test_in_place_sum_matches_plain_sum(self):
+        for c in range(9):
+            for a, b in itertools.product(range(c + 1), repeat=2):
+                for convention in (PAPER, ORACLE):
+                    plain = sum(
+                        (t.weight(convention) for t in enumerate_tableaux(c, a, b)),
+                        zero(),
+                    )
+                    assert row_weight_sum(c, a, b, convention) == plain
+
     def test_known_value(self):
         expected = y_var(1) + y_var(2) - y_var(4) - y_var(5)
         assert row_weight_sum(4, 2, 3, PAPER) == expected
