@@ -20,7 +20,7 @@ import re
 import sys
 from typing import Sequence
 
-from .compositions import Composition, enumerate_compositions, overlapping_shuffles
+from .compositions import Composition, compositions_of_size, overlapping_shuffles
 from .lrcalc import expansion_records, structure_coefficient, verify_expansion
 from .polynomial import RecordsEncoder, x_var, zero
 from .qsym import TruncationContext, qsym_generator
@@ -171,10 +171,14 @@ def cmd_shuffles(args) -> int:
 
 
 def _sweep(max_size: int, max_length: int) -> list[Composition]:
+    """The compositions of size at most ``max_size`` with at most
+    ``max_length`` parts, in the canonical order, built size by size."""
+    if max_size < 0 or max_length < 0:
+        raise ValueError("bounds must be >= 0")
     return [
         c
-        for c in enumerate_compositions(max_length, max_size)
-        if c.size() <= max_size
+        for size in range(max_size + 1)
+        for c in compositions_of_size(size, max_length, max_size)
     ]
 
 

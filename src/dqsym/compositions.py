@@ -209,10 +209,11 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
     (step A), the next part of beta (step B), or both at once (step
     AB), for which ``merges(a, b)`` maps each possible row part to its
     weight.  Yields (k, m, steps) for every state but the last, the
-    steps as (next k, next m, row part, weight) with weight None for a
-    lone part; states come with k and then m
-    descending, so a walk that fills a table bottom-up finds every
-    state a step reaches already filled.
+    steps as (next k, next m, row part, weight).  The weight is None
+    for a lone part and for a merge of weight 1, so a walk multiplies
+    only by the weights that change a value.  States come with k and
+    then m descending, so a walk that fills a table bottom-up finds
+    every state a step reaches already filled.
     """
     la, lb = len(alpha), len(beta)
     for k in range(la, -1, -1):
@@ -224,7 +225,7 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
                 steps.append((k, m + 1, beta[m], None))
             if k < la and m < lb:
                 steps.extend(
-                    (k + 1, m + 1, part, weight)
+                    (k + 1, m + 1, part, None if weight == 1 else weight)
                     for part, weight in merges(alpha[k], beta[m]).items()
                 )
             if steps:
@@ -265,7 +266,7 @@ def overlapping_shuffles(alpha: Composition, beta: Composition) -> Counter[Compo
     sequences into [1..n] whose images jointly cover [1..n], the
     composition whose i-th part sums the parts routed to i.  Counted by
     ``routing_outcomes``, whose merge step is the one row a + b with
-    weight 1.
+    weight 1, so the count is built by additions alone.
     """
     outcomes = routing_outcomes(alpha, beta, lambda a, b: {a + b: 1}, 1)
     return Counter({Composition(parts): count for parts, count in outcomes.items()})

@@ -197,11 +197,14 @@ def product_expand(
     the sums that cancel to zero are dropped.
     """
     outcomes = routing_outcomes(alpha, beta, cp_product, one())
+    if convention is WeightConvention.PAPER_LITERAL:
+        outcomes = {
+            parts: _in_convention(value, alpha, beta, parts, convention)
+            for parts, value in outcomes.items()
+        }
     return Expansion._raw(
         {
-            Composition._raw(parts): _in_convention(
-                value, alpha, beta, parts, convention
-            )
+            Composition._raw(parts): value
             for parts, value in outcomes.items()
             if value
         }

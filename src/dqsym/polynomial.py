@@ -28,7 +28,13 @@ Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
 Products, powers and every construction from ``Monomial`` keys or
 records check the degree first and raise ``ValueError`` above the
-limit; a field never wraps.
+limit; a field never wraps.  A polynomial's total degree is found at
+most once and kept.  A product carries the sum of its factors'
+degrees, which is exact because Z[x; y] is an integral domain: the
+top-degree parts of two nonzero factors multiply to a nonzero form.
+A sum can cancel its top terms, so it finds its degree by one scan of
+its terms, and only when a product first asks for it.  A ``Residual``
+changes in place and scans afresh every time.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
@@ -172,10 +178,6 @@ def _masks(width: int) -> tuple[int, int]:
     return x_mask, x_mask << 8
 
 
-def _max_degree(terms: dict[int, int]) -> int:
-    return max(key & 255 for key in terms)
-
-
 def _add_into(out: dict[int, int], terms: Mapping[int, int]) -> None:
     """out += terms in place, dropping the coefficients that cancel."""
     for k, c in terms.items():
@@ -198,9 +200,11 @@ def _x_free_key(key: int, y_mask: int) -> int:
 class XYPolynomial:
     """Integer polynomial in the x- and y-variables, in canonical form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_degree")
 
     terms: dict[int, int]
+    # the total degree once known, else None; see _total_degree
+    _degree: int | None
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         cleaned: dict[int, int] = {}
@@ -216,17 +220,33 @@ class XYPolynomial:
                         _normalize_exponents(monomial.y),
                     )
                     cleaned[key] = coefficient
-        object.__setattr__(self, "terms", cleaned)
+        _set_terms(self, cleaned)
+        _set_degree(self, None)
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> XYPolynomial:
-        # trusted constructor: terms already canonical, never shared mutably
+    def _raw(cls, terms: dict[int, int], degree: int | None = None) -> XYPolynomial:
+        # trusted constructor: terms already canonical, never shared
+        # mutably, and ``degree`` their total degree when given
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        _set_terms(p, terms)
+        _set_degree(p, degree)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("XYPolynomial is immutable")
+
+    def _total_degree(self) -> int:
+        """The largest total degree of a term, found by one scan and kept;
+        -1 for the zero polynomial."""
+        degree = self._degree
+        if degree is None:
+            degree = max((key & 255 for key in self.terms), default=-1)
+            _set_degree(self, degree)
+        return degree
+
+    def freeze(self) -> XYPolynomial:
+        """The current value as an immutable polynomial: ``self``."""
+        return self
 
     # ------------------------------------------------------------------
     # ring structure
@@ -245,7 +265,7 @@ class XYPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> XYPolynomial:
-        return XYPolynomial._raw({k: -c for k, c in self.terms.items()})
+        return XYPolynomial._raw({k: -c for k, c in self.terms.items()}, self._degree)
 
     def __add__(self, other) -> XYPolynomial:
         if isinstance(other, int):
@@ -272,20 +292,34 @@ class XYPolynomial:
         return (-self) + other
 
     def __mul__(self, other) -> XYPolynomial:
+        """The product; a unit factor returns the other one unchanged,
+        and a one-term factor shifts the other's keys without merging."""
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
             if other == 1:
-                return self
-            return XYPolynomial._raw({k: other * c for k, c in self.terms.items()})
+                return self.freeze()
+            return XYPolynomial._raw(
+                {k: other * c for k, c in self.terms.items()}, self._degree
+            )
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         a, b = self.terms, other.terms
+        if a == _UNIT_TERMS:
+            return other.freeze()
+        if b == _UNIT_TERMS:
+            return self.freeze()
         if not a or not b:
             return _ZERO
-        _check_degree(_max_degree(a) + _max_degree(b))
+        degree = self._total_degree() + other._total_degree()
+        _check_degree(degree)
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # distinct keys shifted by one key stay distinct, and a
+            # product of nonzero integers is nonzero
+            ((ka, ca),) = a.items()
+            return XYPolynomial._raw({ka + kb: ca * cb for kb, cb in b.items()}, degree)
         out: dict[int, int] = {}
         get = out.get
         for ka, ca in a.items():
@@ -294,7 +328,7 @@ class XYPolynomial:
                 out[k] = get(k, 0) + ca * cb
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        return XYPolynomial._raw(out)
+        return XYPolynomial._raw(out, degree)
 
     __rmul__ = __mul__
 
@@ -497,6 +531,12 @@ class XYPolynomial:
         return f"XYPolynomial({self})"
 
 
+# the slots' own setters, past the immutability guard of __setattr__;
+# faster than object.__setattr__ on the hot path of _raw
+_set_terms = XYPolynomial.terms.__set__
+_set_degree = XYPolynomial._degree.__set__
+
+
 def _pairs_text(exponents: bytes) -> str:
     """JSON text of the (index, exponent) pairs of one variable family."""
     pairs = [f"[{i}, {e}]" for i, e in enumerate(exponents, 1) if e]
@@ -549,7 +589,8 @@ class Residual(XYPolynomial):
 
     ``subtract_product`` is the only mutation; ``freeze`` returns the
     current value as an ordinary immutable polynomial.  A residual is
-    unhashable and should stay private to the computation that made it.
+    unhashable and should stay private to the computation that made it;
+    ``*`` never returns one, and it never keeps its degree.
     """
 
     __slots__ = ()
@@ -557,14 +598,18 @@ class Residual(XYPolynomial):
     __hash__ = None
 
     def __init__(self, p: XYPolynomial):
-        object.__setattr__(self, "terms", dict(p.terms))
+        _set_terms(self, dict(p.terms))
+        _set_degree(self, None)
+
+    def _total_degree(self) -> int:
+        return max((key & 255 for key in self.terms), default=-1)
 
     def subtract_product(self, a: XYPolynomial, b: XYPolynomial) -> None:
         """self -= a * b, without building a * b."""
-        a, b = a.terms, b.terms
-        if not a or not b:
+        if not a.terms or not b.terms:
             return
-        _check_degree(_max_degree(a) + _max_degree(b))
+        _check_degree(a._total_degree() + b._total_degree())
+        a, b = a.terms, b.terms
         if len(a) > len(b):
             a, b = b, a
         terms = self.terms
@@ -607,6 +652,7 @@ def y_var(index: int) -> XYPolynomial:
 
 _ZERO = XYPolynomial._raw({})
 _ONE = XYPolynomial._raw({0: 1})
+_UNIT_TERMS = {0: 1}
 
 
 def zero() -> XYPolynomial:

@@ -10,7 +10,7 @@ routing oracles enumerate differently from the library's memoized walk
 weight sums and polynomial arithmetic, which the tests check on their
 own; they sum per-tableau weights in either convention, where the
 library computes oracle-consistent and signs at the end.  The support
-bounds oracle filters every composition within the bounds.
+bounds and sweep oracles filter every composition within the bounds.
 """
 
 import itertools
@@ -244,4 +244,19 @@ def filtered_support_candidates(alpha, beta):
             len(alpha) + len(beta), alpha.max_part() + beta.max_part()
         )
         if lower <= gamma.size() <= upper
+    ]
+
+
+# The CLI's sweep, by filtering every composition within the part and
+# length bounds.
+
+
+def filtered_sweep(max_size, max_length):
+    """The compositions of size at most ``max_size`` and length at most
+    ``max_length``, by filtering all max_size**k compositions of each
+    length k <= max_length."""
+    return [
+        c
+        for c in enumerate_compositions(max_length, max_size)
+        if c.size() <= max_size
     ]

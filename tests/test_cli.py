@@ -12,6 +12,8 @@ from dqsym.polynomial import XYPolynomial, x_var, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention
 
+from oracles import filtered_sweep
+
 
 class TestParseComposition:
     def test_valid(self):
@@ -203,6 +205,34 @@ class TestTableCommand:
         assert main(["table", "--max-size", "1"]) == 0
         out = capsys.readouterr().out
         assert "c[[1], [1] -> [1]] = -y1 + y2" in out
+
+
+class TestSweep:
+    def test_matches_filtered_enumeration(self):
+        for max_size in range(7):
+            for max_length in range(7):
+                assert cli._sweep(max_size, max_length) == filtered_sweep(
+                    max_size, max_length
+                )
+
+    def test_builds_only_what_it_keeps(self, monkeypatch):
+        # filtering would build all 12**12 compositions of at most 12
+        # parts first; the budget stops such a sweep early
+        built = []
+        init = Composition.__init__
+
+        def counted(self, parts=()):
+            built.append(None)
+            assert len(built) <= 2**13, "the sweep builds compositions it drops"
+            init(self, parts)
+
+        monkeypatch.setattr(Composition, "__init__", counted)
+        assert len(cli._sweep(12, 12)) == 2**12
+
+    def test_rejects_negative_bounds(self):
+        for bounds in ((-1, 3), (3, -1), (-1, -1)):
+            with pytest.raises(ValueError, match="bounds must be >= 0"):
+                cli._sweep(*bounds)
 
 
 class TestRelationCheck:

@@ -86,6 +86,61 @@ class TestAgainstTupleOracle:
         assert p.variables() == {("x", 3), ("x", 1000), ("y", 5000)}
 
 
+single_terms = st.builds(lambda m, c: {m: c}, monomials, coefficients)
+units = st.builds(lambda c: {((), ()): c}, st.sampled_from([1, -1]))
+
+
+class TestShortcutProducts:
+    """The unit and one-term shortcuts of ``*``, and carried degrees."""
+
+    @PROPERTY
+    @given(st.one_of(units, single_terms), term_maps, st.booleans())
+    def test_short_factor_on_either_side(self, short, other, short_first):
+        a, b = (short, other) if short_first else (other, short)
+        product = build(a) * build(b)
+        assert product.to_records() == tuple_records(tuple_product(a, b))
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_carried_degree_matches_a_scan(self, a, b):
+        product = build(a) * build(b)
+        if product:
+            assert product._total_degree() == max(k & 255 for k in product.terms)
+
+    def test_unit_returns_the_other_factor(self):
+        p = x_var(1) - y_var(2)
+        assert p * one() is p and one() * p is p
+
+    def test_cancelled_top_terms_leave_no_stale_degree(self):
+        # the sum has degree 1, not the 200 of its summands
+        low = (x_var(1) ** 200 + y_var(1)) - x_var(1) ** 200
+        assert low == y_var(1)
+        assert (low * x_var(2) ** 254).to_records() == [
+            {"coeff": "1", "x": [[2, 254]], "y": [[1, 1]]}
+        ]
+
+    def test_residual_is_never_handed_out(self):
+        residual = Residual(x_var(1) + y_var(1))
+        for product in (one() * residual, residual * one(), residual * 1):
+            assert product is not residual
+            assert type(product) is XYPolynomial
+        before = one() * residual
+        other = x_var(2) * residual
+        residual.subtract_product(one(), x_var(1))
+        assert residual.freeze() == y_var(1)
+        assert before == x_var(1) + y_var(1)
+        assert other == x_var(1) * x_var(2) + x_var(2) * y_var(1)
+
+    def test_residual_degree_is_never_kept(self):
+        residual = Residual(x_var(1) ** 200)
+        with pytest.raises(ValueError, match="total degree 256"):
+            residual * x_var(2) ** 56
+        residual.subtract_product(one(), x_var(1) ** 200)
+        assert residual * x_var(2) ** 255 == 0
+        residual.subtract_product(one(), -y_var(1))
+        assert residual * x_var(2) ** 254 == y_var(1) * x_var(2) ** 254
+
+
 class TestDegreeLimit:
     def test_mul(self):
         a, b = x_var(1) ** 200, y_var(2) ** 55

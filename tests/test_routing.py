@@ -10,11 +10,11 @@ from math import comb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqsym.compositions import Composition, enumerate_compositions
+from dqsym.compositions import Composition, enumerate_compositions, routing_states
 from dqsym.lrcalc import product_expand, structure_coefficient
-from dqsym.polynomial import one
+from dqsym.polynomial import XYPolynomial, one
 from dqsym.qsym import Expansion
-from dqsym.tableaux import WeightConvention
+from dqsym.tableaux import WeightConvention, cp_product
 
 from oracles import injection_structure_coefficient, recursive_product_expand
 
@@ -98,3 +98,43 @@ def test_long_inputs_need_no_recursion():
     assert product_expand(long, Composition()) == Expansion({long: one()})
     assert structure_coefficient(long, Composition(), long) == one()
     assert not structure_coefficient(long, Composition(), Composition([1] * 1099))
+
+
+def _size_at_most_4():
+    return [c for c in enumerate_compositions(4, 4) if c.size() <= 4]
+
+
+def test_walk_steps_carry_no_unit_weight():
+    sweep = _size_at_most_4()
+    for alpha in sweep:
+        for beta in sweep:
+            for _, _, steps in routing_states(alpha, beta, cp_product):
+                assert all(weight is None or weight != 1 for *_, weight in steps)
+
+
+def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
+    sweep = _size_at_most_4()
+    # row_weight_sum is cached, so every walk meets these very objects
+    unit_merges = [
+        weight
+        for a in range(1, 5)
+        for b in range(1, 5)
+        for weight in cp_product(a, b).values()
+        if weight == 1
+    ]
+    assert len(unit_merges) == 16
+    operands = []
+    multiply = XYPolynomial.__mul__
+
+    def recording(self, other):
+        operands.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(XYPolynomial, "__mul__", recording)
+    monkeypatch.setattr(XYPolynomial, "__rmul__", recording)
+    for alpha in sweep:
+        for beta in sweep:
+            product_expand(alpha, beta)
+    assert operands
+    for pair in operands:
+        assert not any(p is w for p in pair for w in unit_merges)
