@@ -21,8 +21,10 @@ Multiplying two monomials is adding their ints, and an int is only as
 wide as the highest variable index it uses, so indices are unbounded.
 A polynomial maps packed monomials to nonzero integer coefficients.
 Polynomials are immutable and hashable; equality of polynomials is
-equality of the mathematical objects.  ``Residual`` is the one mutable
-kind, a working copy that ``qsym.expand_in_M`` peels in place.
+equality of the mathematical objects.  A product never hands out a
+subclass: a unit factor returns the other one's ``freeze()``, which is
+the polynomial itself and lets a mutable subclass, such as the test
+oracle's peeling residual, give out an immutable copy instead.
 
 Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
@@ -33,8 +35,7 @@ most once and kept.  A product carries the sum of its factors'
 degrees, which is exact because Z[x; y] is an integral domain: the
 top-degree parts of two nonzero factors multiply to a nonzero form.
 A sum can cancel its top terms, so it finds its degree by one scan of
-its terms, and only when a product first asks for it.  A ``Residual``
-changes in place and scans afresh every time.
+its terms, and only when a product first asks for it.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
@@ -42,6 +43,11 @@ total degree first, ties broken by the exponent vector read along
 x_1, x_2, ..., y_1, y_2, ... (higher exponent on an earlier variable
 wins).  On packed keys of one common width that is descending order of
 (byte 0, the x bytes, the y bytes).
+
+Cell coordinates.  ``_cell_coordinates`` rewrites a polynomial in the
+Z[y]-basis of products prod_i phi_{a_i}(x_i), phi_a(x) = (x - y_1) ...
+(x - y_a), by trading x-exponents for y-variables on the packed keys;
+``qsym.expand_in_M`` reads the M-expansion off those coordinates.
 
 Serialization.  ``to_records`` gives a polynomial's JSON-ready term
 records.  ``RecordsEncoder`` writes the JSON text of those records
@@ -435,32 +441,6 @@ class XYPolynomial:
             {k: c for k, c in self.terms.items() if k >> 8 & 255 == degree}
         )
 
-    def leading_x_coefficients(self) -> dict[tuple[int, ...], XYPolynomial]:
-        """Coefficients of the x-monomials x_1^{e_1} ... x_k^{e_k}.
-
-        Keyed by the exponent tuple (e_1, ..., e_k), every e_i >= 1, the
-        x-free part under the key (); each value collects the terms of
-        ``self`` whose x-part is exactly that x-monomial, with the x-part
-        removed.  One pass over the terms.
-        """
-        x_mask, y_mask = _masks(_width(self.terms))
-        exponents_of: dict[int, tuple[int, ...] | None] = {}
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
-        for key, coefficient in self.terms.items():
-            x_part = key & x_mask
-            if x_part in exponents_of:
-                exponents = exponents_of[x_part]
-            else:
-                xs = x_part.to_bytes(_width((x_part,)), "little")[2::2]
-                exponents = None if 0 in xs else tuple(xs)
-                exponents_of[x_part] = exponents
-            if exponents is not None:
-                group = groups.get(exponents)
-                if group is None:
-                    group = groups[exponents] = {}
-                group[_x_free_key(key, y_mask)] = coefficient
-        return {e: XYPolynomial._raw(group) for e, group in groups.items()}
-
     # ------------------------------------------------------------------
     # serialization and display
 
@@ -537,6 +517,66 @@ _set_terms = XYPolynomial.terms.__set__
 _set_degree = XYPolynomial._degree.__set__
 
 
+def _cell_coordinates(p: XYPolynomial, n_x: int) -> dict[tuple[int, ...], XYPolynomial]:
+    """The coordinates of ``p`` in the cell basis prod_i phi_{a_i}(x_i),
+    where phi_a(x) = (x - y_1) ... (x - y_a).
+
+    Keyed by (a_1, ..., a_n_x), each value the nonzero x-free
+    coefficient of that basis element; ``p`` must use no x-variable
+    past x_n_x.  Each phi_a is monic of degree a, so the products form
+    a Z[y]-basis and the coordinates are unique.
+
+    The terms are converted one x-variable at a time, by the conversion
+    to the Newton basis with nodes y_1, y_2, ...: bucketed by their
+    exponent e of x_i, up to d, for j = 1..d and e = d - 1 down to j - 1
+    bucket[e] gains bucket[e + 1] with one x_i traded for y_j.  Then
+    x_i's byte holds a_i.  A trade keeps the total degree, so no field
+    can pass ``MAX_DEGREE``.
+    """
+    terms = p.terms
+    for i in range(1, n_x + 1):
+        shift = 16 * i
+        by_exponent: dict[int, dict[int, int]] = {}
+        for key, c in terms.items():
+            e = key >> shift & 255
+            bucket = by_exponent.get(e)
+            if bucket is None:
+                bucket = by_exponent[e] = {}
+            bucket[key] = c
+        d = max(by_exponent, default=0)
+        if not d:
+            continue
+        buckets = [by_exponent.get(e) or {} for e in range(d + 1)]
+        for j in range(1, d + 1):
+            trade = (1 << 16 * j + 8) - (1 << shift) - (1 << 8)
+            for e in range(d - 1, j - 2, -1):
+                out = buckets[e]
+                get = out.get
+                for key, c in buckets[e + 1].items():
+                    key += trade
+                    v = get(key, 0) + c
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        terms = {}
+        for bucket in buckets:
+            terms.update(bucket)
+    x_mask, y_mask = _masks(_width(terms))
+    groups: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        x_part = key & x_mask
+        group = groups.get(x_part)
+        if group is None:
+            group = groups[x_part] = {}
+        group[_x_free_key(key, y_mask)] = c
+    width = 2 * n_x + 1
+    return {
+        tuple(x_part.to_bytes(width, "little")[2::2]): XYPolynomial._raw(group)
+        for x_part, group in groups.items()
+    }
+
+
 def _pairs_text(exponents: bytes) -> str:
     """JSON text of the (index, exponent) pairs of one variable family."""
     pairs = [f"[{i}, {e}]" for i, e in enumerate(exponents, 1) if e]
@@ -582,49 +622,6 @@ class RecordsEncoder:
             + ", ".join([f'{{"coeff": "{c}", {text}}}' for (_, text), c in entries])
             + "]"
         )
-
-
-class Residual(XYPolynomial):
-    """A mutable working copy of a polynomial, peeled in place.
-
-    ``subtract_product`` is the only mutation; ``freeze`` returns the
-    current value as an ordinary immutable polynomial.  A residual is
-    unhashable and should stay private to the computation that made it;
-    ``*`` never returns one, and it never keeps its degree.
-    """
-
-    __slots__ = ()
-
-    __hash__ = None
-
-    def __init__(self, p: XYPolynomial):
-        _set_terms(self, dict(p.terms))
-        _set_degree(self, None)
-
-    def _total_degree(self) -> int:
-        return max((key & 255 for key in self.terms), default=-1)
-
-    def subtract_product(self, a: XYPolynomial, b: XYPolynomial) -> None:
-        """self -= a * b, without building a * b."""
-        if not a.terms or not b.terms:
-            return
-        _check_degree(a._total_degree() + b._total_degree())
-        a, b = a.terms, b.terms
-        if len(a) > len(b):
-            a, b = b, a
-        terms = self.terms
-        get = terms.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = get(k, 0) - ca * cb
-                if v:
-                    terms[k] = v
-                else:
-                    del terms[k]
-
-    def freeze(self) -> XYPolynomial:
-        return XYPolynomial._raw(dict(self.terms))
 
 
 def constant(value: int) -> XYPolynomial:

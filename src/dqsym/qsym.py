@@ -11,23 +11,33 @@ y_j to 0 recovers the ordinary monomial quasisymmetric function.  A
 y_1..y_n_y; all computation happens inside that truncation, with
 coefficients in the x-free subring Z[y].
 
-``expand_in_M`` inverts the construction: it rewrites a quasisymmetric
-polynomial as a Z[y]-combination of double monomial functions by
-repeatedly peeling the top x-degree.  The top-degree part of M_alpha is
-its y-free leading sum, whose minimal-index representative is the
-monomial x_1^{a_1} ... x_k^{a_k}; reading those coefficients off and
-subtracting must strictly lower the top x-degree, and a round that
-fails to do so proves the input is not in the span.
+``expand_in_M`` inverts the construction by a change of basis.  The
+cell class phi_a(x_i) = (x_i - y_1) ... (x_i - y_a) (``cell_class``) is
+the factorial power (x_i|y)^a of factorial Schur functions (Molev and
+Sagan, Trans. AMS 1999).  Each phi_a is monic of degree a in x_i, so the
+products prod_i phi_{a_i}(x_i) form a Z[y]-basis of Z[x_1..x_n_x; y],
+and in that basis M_gamma has coordinate 1 at each of its
+C(n_x, len(gamma)) placements, the cells whose nonzero entries read
+gamma in order, and 0 at every other cell.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition
-from .polynomial import Residual, XYPolynomial, constant, one, x_var, y_var, zero
+from .polynomial import (
+    XYPolynomial,
+    _cell_coordinates,
+    constant,
+    one,
+    x_var,
+    y_var,
+    zero,
+)
 
 
 class TruncationTooSmall(ValueError):
@@ -262,7 +272,9 @@ class Expansion:
         ]
 
     def support(self) -> list[Composition]:
-        return [g for g, _ in self.items()]
+        """The compositions with a nonzero coefficient, in the order of
+        ``items``."""
+        return sorted(self.coeffs, key=Composition.sort_key)
 
     def __add__(self, other: Expansion) -> Expansion:
         if not isinstance(other, Expansion):
@@ -312,44 +324,56 @@ class Expansion:
 def expand_in_M(p: XYPolynomial, ctx: TruncationContext) -> Expansion:
     """Write ``p`` as a Z[y]-combination of double monomial functions.
 
-    Peels the residual from the top x-degree down.  At degree d every
-    composition gamma with |gamma| = d present in the residual shows up
-    through its minimal-index leading monomial x_1^{g_1}...x_k^{g_k};
-    its coefficient is read off with ``leading_x_coefficients`` and
-    coefficient * M_gamma is subtracted from the residual in place,
-    without building the product.  The remaining x-free part, if any,
-    is the coefficient of the empty composition.  Raises
-    NotInSpan when a round fails to lower the top x-degree or needs a
-    composition outside the truncation: that happens exactly when ``p``
-    is not quasisymmetric in ``ctx`` or the truncation is too small.
+    Reads the expansion off the coordinates of ``p`` in the cell basis
+    prod_i phi_{a_i}(x_i): each cell's nonzero entries, in order, are a
+    composition gamma placed at the x-indices of those entries.  Since
+    the cell products form a Z[y]-basis and M_gamma is the sum of its
+    placements' cells, p = sum_gamma c_gamma * M_gamma holds exactly
+    when every placement of every gamma has the coordinate c_gamma.  So
+    the result is exact, and the expansion is unique.  Raises NotInSpan,
+    naming gamma and the offending placement, when a part of gamma
+    exceeds ctx.n_y, when two placements of gamma have different
+    coordinates, or when a placement of gamma has none; that happens
+    exactly when ``p`` is not quasisymmetric in ``ctx`` or the
+    truncation is too small.
     """
     _check_variables(p, ctx)
+    found: dict[tuple[int, ...], dict[tuple[int, ...], XYPolynomial]] = {}
+    for cell, coordinate in _cell_coordinates(p, ctx.n_x).items():
+        parts = tuple(a for a in cell if a)
+        placement = tuple(i for i, a in enumerate(cell, 1) if a)
+        at = found.get(parts)
+        if at is None:
+            at = found[parts] = {}
+        at[placement] = coordinate
     coeffs: dict[Composition, XYPolynomial] = {}
-    residual = Residual(p)
-    degree = residual.max_x_degree()
-    while residual:
-        if degree == 0:
-            coeffs[Composition()] = residual.freeze()
-            break
-        found = residual.x_degree_component(degree).leading_x_coefficients()
-        if not found:
+    for parts, at in found.items():
+        gamma = Composition._raw(parts)
+        if gamma.max_part() > ctx.n_y:
             raise NotInSpan(
-                f"no leading monomial at x-degree {degree}; not in the span"
+                f"expansion needs {gamma}, placed at x-indices {min(at)}, "
+                f"outside the truncation {ctx!r}"
             )
-        for parts in sorted(found):
-            gamma = Composition(parts)
-            try:
-                basis = double_monomial(gamma, ctx)
-            except TruncationTooSmall as exc:
+        value = next(iter(at.values()))
+        for other in at.values():
+            if other != value:
+                first = min(at)
+                differing = min(pl for pl, c in at.items() if c != at[first])
                 raise NotInSpan(
-                    f"expansion needs {gamma}, outside the truncation {ctx!r}"
-                ) from exc
-            residual.subtract_product(found[parts], basis)
-            coeffs[gamma] = found[parts]
-        new_degree = residual.max_x_degree()
-        if new_degree >= degree:
-            raise NotInSpan(
-                f"top x-degree stuck at {degree}; polynomial is not quasisymmetric"
+                    f"{gamma} has one coordinate at x-indices {first} and "
+                    f"another at {differing}; not quasisymmetric"
+                )
+        if len(at) < math.comb(ctx.n_x, len(parts)):
+            missing = next(
+                placement
+                for placement in itertools.combinations(
+                    range(1, ctx.n_x + 1), len(parts)
+                )
+                if placement not in at
             )
-        degree = new_degree
-    return Expansion(coeffs)
+            raise NotInSpan(
+                f"{gamma} has a coordinate at x-indices {min(at)} but none "
+                f"at {missing}; not quasisymmetric"
+            )
+        coeffs[gamma] = value
+    return Expansion._raw(coeffs)

@@ -11,6 +11,9 @@ weight sums and polynomial arithmetic, which the tests check on their
 own; they sum per-tableau weights in either convention, where the
 library computes oracle-consistent and signs at the end.  The support
 bounds and sweep oracles filter every composition within the bounds.
+The peeling expansion rewrites a polynomial in the M basis by
+subtracting double monomials degree by degree, where the library reads
+the expansion off cell coordinates.
 """
 
 import itertools
@@ -18,8 +21,24 @@ import random
 from collections import Counter
 
 from dqsym.compositions import Composition, enumerate_compositions, enumerate_injections
-from dqsym.polynomial import one, zero
-from dqsym.qsym import Expansion
+from dqsym.polynomial import (
+    XYPolynomial,
+    _check_degree,
+    _masks,
+    _set_degree,
+    _set_terms,
+    _width,
+    _x_free_key,
+    one,
+    zero,
+)
+from dqsym.qsym import (
+    Expansion,
+    NotInSpan,
+    TruncationTooSmall,
+    _check_variables,
+    double_monomial,
+)
 from dqsym.tableaux import DEFAULT_CONVENTION, row_weight_sum
 
 
@@ -260,3 +279,120 @@ def filtered_sweep(max_size, max_length):
         for c in enumerate_compositions(max_length, max_size)
         if c.size() <= max_size
     ]
+
+
+# The M-expansion by peeling: read the coefficients of the minimal-index
+# leading monomials at the top x-degree, subtract, repeat.
+
+
+class Residual(XYPolynomial):
+    """A mutable working copy of a polynomial, peeled in place.
+
+    ``subtract_product`` is the only mutation; ``freeze`` returns the
+    current value as an ordinary immutable polynomial.  A residual is
+    unhashable and should stay private to the computation that made it;
+    ``*`` never returns one, and it never keeps its degree.
+    """
+
+    __slots__ = ()
+
+    __hash__ = None
+
+    def __init__(self, p: XYPolynomial):
+        _set_terms(self, dict(p.terms))
+        _set_degree(self, None)
+
+    def _total_degree(self) -> int:
+        return max((key & 255 for key in self.terms), default=-1)
+
+    def subtract_product(self, a: XYPolynomial, b: XYPolynomial) -> None:
+        """self -= a * b, without building a * b."""
+        if not a.terms or not b.terms:
+            return
+        _check_degree(a._total_degree() + b._total_degree())
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        terms = self.terms
+        get = terms.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                v = get(k, 0) - ca * cb
+                if v:
+                    terms[k] = v
+                else:
+                    del terms[k]
+
+    def freeze(self) -> XYPolynomial:
+        return XYPolynomial._raw(dict(self.terms))
+
+
+def leading_x_coefficients(p: XYPolynomial) -> dict[tuple[int, ...], XYPolynomial]:
+    """Coefficients of the x-monomials x_1^{e_1} ... x_k^{e_k}.
+
+    Keyed by the exponent tuple (e_1, ..., e_k), every e_i >= 1, the
+    x-free part under the key (); each value collects the terms of
+    ``p`` whose x-part is exactly that x-monomial, with the x-part
+    removed.  One pass over the terms.
+    """
+    x_mask, y_mask = _masks(_width(p.terms))
+    exponents_of: dict[int, tuple[int, ...] | None] = {}
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for key, coefficient in p.terms.items():
+        x_part = key & x_mask
+        if x_part in exponents_of:
+            exponents = exponents_of[x_part]
+        else:
+            xs = x_part.to_bytes(_width((x_part,)), "little")[2::2]
+            exponents = None if 0 in xs else tuple(xs)
+            exponents_of[x_part] = exponents
+        if exponents is not None:
+            group = groups.get(exponents)
+            if group is None:
+                group = groups[exponents] = {}
+            group[_x_free_key(key, y_mask)] = coefficient
+    return {e: XYPolynomial._raw(group) for e, group in groups.items()}
+
+
+def peeling_expand_in_M(p, ctx):
+    """Write ``p`` as a Z[y]-combination of double monomial functions by
+    peeling the residual from the top x-degree down.
+
+    At degree d every composition gamma with |gamma| = d present in the
+    residual shows up through its minimal-index leading monomial
+    x_1^{g_1}...x_k^{g_k}, whose coefficient is subtracted times M_gamma
+    in place.  The remaining x-free part, if any, is the coefficient of
+    the empty composition.  Raises NotInSpan when a round fails to lower
+    the top x-degree or needs a composition outside the truncation.
+    """
+    _check_variables(p, ctx)
+    coeffs = {}
+    residual = Residual(p)
+    degree = residual.max_x_degree()
+    while residual:
+        if degree == 0:
+            coeffs[Composition()] = residual.freeze()
+            break
+        found = leading_x_coefficients(residual.x_degree_component(degree))
+        if not found:
+            raise NotInSpan(
+                f"no leading monomial at x-degree {degree}; not in the span"
+            )
+        for parts in sorted(found):
+            gamma = Composition(parts)
+            try:
+                basis = double_monomial(gamma, ctx)
+            except TruncationTooSmall as exc:
+                raise NotInSpan(
+                    f"expansion needs {gamma}, outside the truncation {ctx!r}"
+                ) from exc
+            residual.subtract_product(found[parts], basis)
+            coeffs[gamma] = found[parts]
+        new_degree = residual.max_x_degree()
+        if new_degree >= degree:
+            raise NotInSpan(
+                f"top x-degree stuck at {degree}; polynomial is not quasisymmetric"
+            )
+        degree = new_degree
+    return Expansion(coeffs)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dqsym.polynomial import (
     MAX_DEGREE,
     Monomial,
-    Residual,
     XYPolynomial,
     constant,
     one,
@@ -16,7 +15,7 @@ from dqsym.polynomial import (
     y_var,
 )
 
-from oracles import tuple_product, tuple_records, tuple_sum
+from oracles import Residual, tuple_product, tuple_records, tuple_sum
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 

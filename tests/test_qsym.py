@@ -1,11 +1,23 @@
 """Double monomial construction, generators, and M-basis expansion."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqsym.compositions import Composition, enumerate_compositions
-from dqsym.polynomial import Monomial, XYPolynomial, one, x_var, y_var, zero
+from dqsym.polynomial import (
+    Monomial,
+    XYPolynomial,
+    _cell_coordinates,
+    constant,
+    one,
+    x_var,
+    y_var,
+    zero,
+)
 from dqsym.qsym import (
     Expansion,
     NotInMaximalIdeal,
@@ -24,9 +36,12 @@ from oracles import (
     brute_monomial_qsym_terms,
     eval_double_monomial,
     eval_poly,
+    peeling_expand_in_M,
     poly_x_terms,
     sample_points,
 )
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 class TestTruncationContext:
@@ -269,3 +284,91 @@ class TestExpandInM:
     def test_out_of_context_variables_rejected(self):
         with pytest.raises(ValueError):
             expand_in_M(x_var(5), TruncationContext(2, 1))
+
+
+def seeded_combination(seed: int, perturbation: str):
+    """A seeded Z[y]-combination of double monomials with n_x, n_y <= 4
+    and |gamma| <= 5, plain or perturbed: by a stray term, or by
+    x_1^(n_y + 1) + ... + x_n_x^(n_y + 1), which is quasisymmetric but
+    needs a part above n_y."""
+    rng = random.Random(seed)
+    n_x, n_y = rng.randint(0, 4), rng.randint(0, 4)
+    ctx = TruncationContext(n_x, n_y)
+
+    def y_polynomial():
+        total = constant(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 2) if n_y else 0):
+            total = total + rng.randint(-3, 3) * y_var(rng.randint(1, n_y)) ** rng.randint(1, 2)
+        return total
+
+    p = zero()
+    for _ in range(rng.randint(0, 3)):
+        length = rng.randint(0, n_x) if n_y else 0
+        parts = [rng.randint(1, n_y) for _ in range(length)]
+        if sum(parts) <= 5:
+            p = p + y_polynomial() * double_monomial(Composition(parts), ctx)
+    if perturbation == "stray":
+        term = y_polynomial() or one()
+        if n_x:
+            term = term * x_var(rng.randint(1, n_x)) ** rng.randint(0, 3)
+        p = p + term
+    elif perturbation == "power":
+        for i in range(1, n_x + 1):
+            p = p + x_var(i) ** (n_y + 1)
+    return p, ctx
+
+
+def expand_or_not_in_span(route, p, ctx):
+    try:
+        return route(p, ctx)
+    except NotInSpan:
+        return NotInSpan
+
+
+class TestCellBasis:
+    @PROPERTY
+    @given(st.integers(0, 2**32), st.sampled_from(["plain", "stray", "power"]))
+    def test_agrees_with_peeling(self, seed, perturbation):
+        p, ctx = seeded_combination(seed, perturbation)
+        assert expand_or_not_in_span(expand_in_M, p, ctx) == expand_or_not_in_span(
+            peeling_expand_in_M, p, ctx
+        )
+
+    def test_plain_combinations_are_in_the_span(self):
+        for seed in range(50):
+            p, ctx = seeded_combination(seed, "plain")
+            assert expand_in_M(p, ctx) == peeling_expand_in_M(p, ctx)
+
+    def test_power_sum_is_not_in_the_span(self):
+        for seed in range(50):
+            p, ctx = seeded_combination(seed, "power")
+            if ctx.n_x:
+                with pytest.raises(NotInSpan):
+                    expand_in_M(p, ctx)
+
+    def test_cell_class_products_are_unit_vectors(self):
+        for n_x in range(4):
+            for cell in itertools.product(range(4), repeat=n_x):
+                p = one()
+                for index, part in enumerate(cell, 1):
+                    p = p * cell_class(part, index)
+                assert _cell_coordinates(p, n_x) == {cell: one()}
+        # unused x-variables read as zero entries
+        assert _cell_coordinates(cell_class(2, 1), 3) == {(2, 0, 0): one()}
+
+    def test_not_in_span_messages(self):
+        ctx = TruncationContext(2, 1)
+        with pytest.raises(
+            NotInSpan, match=r"needs \[2\], placed at x-indices \(1,\), outside"
+        ):
+            expand_in_M(x_var(1) ** 2 + x_var(2) ** 2, ctx)
+        with pytest.raises(
+            NotInSpan,
+            match=r"\[1\] has one coordinate at x-indices \(1,\) and another at \(2,\)",
+        ):
+            expand_in_M(cell_class(1, 1) + 2 * cell_class(1, 2), ctx)
+        with pytest.raises(
+            NotInSpan,
+            match=r"\[1,1\] has a coordinate at x-indices \(1, 3\) but none at \(1, 2\)",
+        ):
+            expand_in_M(cell_class(1, 1) * cell_class(1, 3), TruncationContext(3, 1))
