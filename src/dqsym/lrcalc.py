@@ -26,7 +26,9 @@ coefficient leaves the walk.
 polynomial arithmetic in a sufficient truncation, by one route: it
 re-derives the table from the expanded product with
 ``qsym.expand_in_M``.  That route implies the product identity itself,
-because ``expand_in_M`` returns only once its residual is exactly zero.
+because ``expand_in_M`` reads the expansion off the product's exact
+coordinates in a Z[y]-basis, and returns only when those coordinates
+are exactly the ones of the sum it reports.
 """
 
 from __future__ import annotations
@@ -222,9 +224,10 @@ def verify_expansion(
     ``TruncationContext.for_product``: expands M_alpha * M_beta exactly
     and checks that ``expand_in_M`` of it reproduces the table.  This
     implies the identity M_alpha * M_beta = sum_gamma c_gamma * M_gamma:
-    ``expand_in_M`` returns only once it has subtracted every
-    c_gamma * M_gamma it reports and its residual is exactly zero, and
-    it peels each gamma once, since the degrees it peels strictly fall.
+    ``expand_in_M`` returns only when the product's coordinates in the
+    cell basis prod_i phi_{a_i}(x_i) equal those of the sum it reports,
+    c_gamma at every placement of every gamma and 0 at every other
+    cell, and equal coordinates in a basis mean equal polynomials.
     False when the tables differ or the product is not in the span.
     """
     ctx = TruncationContext.for_product(alpha, beta)

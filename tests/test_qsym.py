@@ -330,21 +330,12 @@ class TestCellBasis:
     @given(st.integers(0, 2**32), st.sampled_from(["plain", "stray", "power"]))
     def test_agrees_with_peeling(self, seed, perturbation):
         p, ctx = seeded_combination(seed, perturbation)
-        assert expand_or_not_in_span(expand_in_M, p, ctx) == expand_or_not_in_span(
-            peeling_expand_in_M, p, ctx
-        )
-
-    def test_plain_combinations_are_in_the_span(self):
-        for seed in range(50):
-            p, ctx = seeded_combination(seed, "plain")
-            assert expand_in_M(p, ctx) == peeling_expand_in_M(p, ctx)
-
-    def test_power_sum_is_not_in_the_span(self):
-        for seed in range(50):
-            p, ctx = seeded_combination(seed, "power")
-            if ctx.n_x:
-                with pytest.raises(NotInSpan):
-                    expand_in_M(p, ctx)
+        expansion = expand_or_not_in_span(expand_in_M, p, ctx)
+        assert expansion == expand_or_not_in_span(peeling_expand_in_M, p, ctx)
+        if perturbation == "plain":
+            assert expansion is not NotInSpan
+        if perturbation == "power" and ctx.n_x:
+            assert expansion is NotInSpan
 
     def test_cell_class_products_are_unit_vectors(self):
         for n_x in range(4):
