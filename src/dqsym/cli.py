@@ -75,7 +75,8 @@ def _dump(value) -> None:
 
 # Coefficient tables are written as JSON text built by hand, with the
 # key order and separators of json.dumps: a composition's parts by
-# _parts_text, a coefficient's records by one RecordsEncoder per command.
+# _parts_text, a coefficient's records by a RecordsEncoder, one per
+# product command and one per alpha row of a table.
 
 
 def _parts_text(composition: Composition) -> str:
@@ -213,19 +214,60 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+class _SweepTables(dict):
+    """The routing tables of one ``table`` sweep, keyed by suffix pair
+    (u, v) as ``compositions.routing_outcomes`` reads and offers them.
+
+    A table is kept only when a later pair can reuse it: either both
+    suffixes can recur in a later row, having fewer than ``max_length``
+    parts and size below ``max_size``, or u is the current row's alpha
+    and v can recur.  ``start_row`` drops the previous row's own tables
+    that no later row can use, so at most one row's worth of them is
+    held beside the recurring ones.
+    """
+
+    def __init__(self, max_size: int, max_length: int):
+        super().__init__()
+        self._max_size = max_size
+        self._max_length = max_length
+        self._row: tuple[int, ...] | None = None
+
+    def _recurs(self, parts: tuple[int, ...]) -> bool:
+        return len(parts) < self._max_length and sum(parts) < self._max_size
+
+    def start_row(self, alpha: Composition) -> None:
+        row = self._row
+        if row is not None and not self._recurs(row):
+            for pair in [pair for pair in self if pair[0] == row]:
+                del self[pair]
+        self._row = alpha.parts
+
+    def __setitem__(self, pair, table) -> None:
+        u, v = pair
+        if self._recurs(v) and (u == self._row or self._recurs(u)):
+            super().__setitem__(pair, table)
+
+
 def cmd_table(args) -> int:
     convention = _convention(args)
     max_length = args.max_length if args.max_length is not None else args.max_size
     compositions = _sweep(args.max_size, max_length)
-    encode = RecordsEncoder().encode
+    tables = _SweepTables(args.max_size, max_length)
     write = sys.stdout.write
     if args.format == "human":
         _banner(args)
     for alpha in compositions:
+        tables.start_row(alpha)
+        # one encoder per row bounds its memos by the row's coefficients
+        encode = RecordsEncoder().encode
         pair_head = f'{{"alpha": {_parts_text(alpha)}, "beta": '
         for beta in compositions:
             rows = expansion_records(
-                alpha, beta, convention, explicit_zeros=args.explicit_zeros
+                alpha,
+                beta,
+                convention,
+                explicit_zeros=args.explicit_zeros,
+                tables=tables,
             )
             if args.format == "json":
                 head = f'{pair_head}{_parts_text(beta)}, "gamma": '

@@ -199,6 +199,22 @@ def enumerate_injections(source_size: int, target_size: int) -> list[OrderedInje
     ]
 
 
+def _routing_steps(alpha, beta, k: int, m: int, merges) -> list:
+    """The steps out of state (k, m) of the routing walk, as
+    (next k, next m, row part, weight); see ``routing_states``."""
+    steps = []
+    if k < len(alpha):
+        steps.append((k + 1, m, alpha[k], None))
+    if m < len(beta):
+        steps.append((k, m + 1, beta[m], None))
+        if k < len(alpha):
+            steps.extend(
+                (k + 1, m + 1, part, None if weight == 1 else weight)
+                for part, weight in merges(alpha[k], beta[m]).items()
+            )
+    return steps
+
+
 def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
     """The states of the routing walk, each after every state it steps to.
 
@@ -218,42 +234,59 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
     la, lb = len(alpha), len(beta)
     for k in range(la, -1, -1):
         for m in range(lb, -1, -1):
-            steps = []
-            if k < la:
-                steps.append((k + 1, m, alpha[k], None))
-            if m < lb:
-                steps.append((k, m + 1, beta[m], None))
-            if k < la and m < lb:
-                steps.extend(
-                    (k + 1, m + 1, part, None if weight == 1 else weight)
-                    for part, weight in merges(alpha[k], beta[m]).items()
-                )
-            if steps:
-                yield k, m, steps
+            if k < la or m < lb:
+                yield k, m, _routing_steps(alpha, beta, k, m, merges)
 
 
-def routing_outcomes(alpha: Sequence[int], beta: Sequence[int], merges, unit) -> dict:
+def routing_outcomes(
+    alpha: Sequence[int], beta: Sequence[int], merges, unit, tables=None
+) -> dict:
     """Every outcome of the routing walk with its summed weight.
 
     An outcome is the tuple of row parts along a path, and its weight
     the product of the path's merge weights, ``unit`` for a path of
-    lone parts.  Filled bottom-up over ``routing_states``: the table of
-    state (k, m) maps each suffix of row parts that routes alpha[k:]
-    and beta[m:] to its summed weight, so a suffix shared by many paths
-    is extended once per step, not once per path.
+    lone parts.  Filled bottom-up in the order of ``routing_states``:
+    the table of state (k, m) maps each suffix of row parts that routes
+    alpha[k:] and beta[m:] to its summed weight, so a suffix shared by
+    many paths is extended once per step, not once per path.
+
+    A table depends only on the suffix pair (alpha[k:], beta[m:]), as
+    tuples, so walks can share them.  ``tables`` is an optional
+    mapping owned by the caller: a state whose suffix pair it holds
+    takes that table, without computing its steps, and every table
+    built is offered to it by item assignment, which may decline to
+    keep it.  Without a mapping the walk gets a fresh dict.  Share one
+    mapping only among walks with the same ``merges`` and ``unit``.
+    The returned table may be held by ``tables``; do not mutate it.
     """
-    tables = {(len(alpha), len(beta)): {(): unit}}
-    for k, m, steps in routing_states(alpha, beta, merges):
-        table: dict = {}
-        for next_k, next_m, part, weight in steps:
-            for suffix, value in tables[next_k, next_m].items():
-                if weight is not None:
-                    value = weight * value
-                key = (part,) + suffix
-                old = table.get(key)
-                table[key] = value if old is None else old + value
-        tables[k, m] = table
-    return tables[0, 0]
+    if tables is None:
+        tables = {}
+    alpha, beta = tuple(alpha), tuple(beta)
+    la, lb = len(alpha), len(beta)
+    # this walk's tables by state, whatever the mapping keeps
+    walked: dict[tuple[int, int], dict] = {}
+    for k in range(la, -1, -1):
+        rest = alpha[k:]
+        for m in range(lb, -1, -1):
+            pair = (rest, beta[m:])
+            table = tables.get(pair)
+            if table is None:
+                if k == la and m == lb:
+                    table = {(): unit}
+                else:
+                    table = {}
+                    for next_k, next_m, part, weight in _routing_steps(
+                        alpha, beta, k, m, merges
+                    ):
+                        for suffix, value in walked[next_k, next_m].items():
+                            if weight is not None:
+                                value = weight * value
+                            key = (part,) + suffix
+                            old = table.get(key)
+                            table[key] = value if old is None else old + value
+                tables[pair] = table
+            walked[k, m] = table
+    return walked[0, 0]
 
 
 def overlapping_shuffles(alpha: Composition, beta: Composition) -> Counter[Composition]:

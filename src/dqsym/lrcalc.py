@@ -183,6 +183,7 @@ def product_expand(
     alpha: Composition,
     beta: Composition,
     convention: WeightConvention = DEFAULT_CONVENTION,
+    tables=None,
 ) -> Expansion:
     """The full expansion of M_alpha * M_beta, zero coefficients omitted.
 
@@ -190,15 +191,19 @@ def product_expand(
     at once: each row of the outcome takes the next part of alpha, of
     beta, or of both, and a merged row of inner a and content b has any
     length c in [max(a, b), a + b], weighted by cp_product(a, b)[c],
-    that shape's row weight sum.  The walk is memoized on the state (k, m):
-    its table maps each suffix of gamma's parts routing alpha[k:] and
-    beta[m:] to its summed coefficient, so paths that share a suffix
-    are merged once.  The result agrees with ``structure_coefficient``
-    on every composition.  The walk's outcomes are tuples of positive
-    parts with x-free values, so the result is built unchecked; only
-    the sums that cancel to zero are dropped.
+    that shape's row weight sum.  The walk is memoized on the suffix
+    pair (alpha[k:], beta[m:]): its table maps each suffix of gamma's
+    parts routing alpha[k:] and beta[m:] to its summed coefficient, so
+    paths that share a suffix are merged once.  ``tables`` is the
+    walk's optional caller-owned mapping of those tables, shared by
+    the pairs of one sweep; its tables are oracle-consistent, so one
+    mapping serves both conventions.  The result agrees with
+    ``structure_coefficient`` on every composition.  The walk's
+    outcomes are tuples of positive parts with x-free values, so the
+    result is built unchecked; only the sums that cancel to zero are
+    dropped.
     """
-    outcomes = routing_outcomes(alpha, beta, cp_product, one())
+    outcomes = routing_outcomes(alpha, beta, cp_product, one(), tables)
     if convention is WeightConvention.PAPER_LITERAL:
         outcomes = {
             parts: _in_convention(value, alpha, beta, parts, convention)
@@ -244,15 +249,21 @@ def expansion_records(
     beta: Composition,
     convention: WeightConvention = DEFAULT_CONVENTION,
     explicit_zeros: bool = False,
+    tables=None,
 ) -> list[StructureCoefficient]:
     """Table rows for one product, optionally padded with zero entries
-    for every candidate composition in the support bounds."""
-    expansion = product_expand(alpha, beta, convention)
+    for every candidate composition in the support bounds.  ``tables``
+    is passed to ``product_expand``."""
+    expansion = product_expand(alpha, beta, convention, tables)
     if explicit_zeros:
         compositions = support_candidates(alpha, beta)
     else:
         compositions = expansion.support()
+    coeffs = expansion.coeffs
+    nothing = zero()
     return [
-        StructureCoefficient(alpha, beta, gamma, expansion[gamma], convention)
+        StructureCoefficient(
+            alpha, beta, gamma, coeffs.get(gamma, nothing), convention
+        )
         for gamma in compositions
     ]

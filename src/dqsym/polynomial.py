@@ -21,10 +21,7 @@ Multiplying two monomials is adding their ints, and an int is only as
 wide as the highest variable index it uses, so indices are unbounded.
 A polynomial maps packed monomials to nonzero integer coefficients.
 Polynomials are immutable and hashable; equality of polynomials is
-equality of the mathematical objects.  A product never hands out a
-subclass: a unit factor returns the other one's ``freeze()``, which is
-the polynomial itself and lets a mutable subclass, such as the test
-oracle's peeling residual, give out an immutable copy instead.
+equality of the mathematical objects.
 
 Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
@@ -250,10 +247,6 @@ class XYPolynomial:
             _set_degree(self, degree)
         return degree
 
-    def freeze(self) -> XYPolynomial:
-        """The current value as an immutable polynomial: ``self``."""
-        return self
-
     # ------------------------------------------------------------------
     # ring structure
 
@@ -304,7 +297,7 @@ class XYPolynomial:
             if other == 0:
                 return _ZERO
             if other == 1:
-                return self.freeze()
+                return self
             return XYPolynomial._raw(
                 {k: other * c for k, c in self.terms.items()}, self._degree
             )
@@ -312,9 +305,9 @@ class XYPolynomial:
             return NotImplemented
         a, b = self.terms, other.terms
         if a == _UNIT_TERMS:
-            return other.freeze()
+            return other
         if b == _UNIT_TERMS:
-            return self.freeze()
+            return self
         if not a or not b:
             return _ZERO
         degree = self._total_degree() + other._total_degree()
@@ -587,21 +580,24 @@ class RecordsEncoder:
     """The JSON text of ``to_records``, written straight from packed terms.
 
     ``encode(p)`` equals ``json.dumps(p.to_records())``, key order and
-    separators included.  The encoder remembers, for each packed
+    separators included.  The encoder has two memos.  In front, the
+    text of each polynomial value it has encoded, so a table whose rows
+    repeat a coefficient encodes it once.  Behind it, for each packed
     monomial it has met, the monomial's canonical sort key and its
-    ``"x": [...], "y": [...]`` text, so a table whose coefficients share
-    monomials builds each monomial's text once.  The sort key is
+    ``"x": [...], "y": [...]`` text, so coefficients that share
+    monomials build each monomial's text once.  The sort key is
     (total degree, x bytes, y bytes) with trailing zero bytes stripped,
     which orders as ``_sorted_fields`` does: a stripped field that is a
-    prefix of another sorts first, as its zero padding would.  The
-    memo grows with the distinct monomials met, so an encoder should
-    live no longer than one table.
+    prefix of another sorts first, as its zero padding would.  Both
+    memos grow with what the encoder meets, so an encoder should live
+    no longer than one row of a table.
     """
 
-    __slots__ = ("_monomials",)
+    __slots__ = ("_monomials", "_texts")
 
     def __init__(self):
         self._monomials: dict[int, tuple[tuple[int, bytes, bytes], str]] = {}
+        self._texts: dict[XYPolynomial, str] = {}
 
     def _monomial(self, key: int) -> tuple[tuple[int, bytes, bytes], str]:
         b = key.to_bytes(_width((key,)) or 1, "little")
@@ -611,17 +607,22 @@ class RecordsEncoder:
         return entry
 
     def encode(self, p: XYPolynomial) -> str:
+        text = self._texts.get(p)
+        if text is not None:
+            return text
         memo = self._monomials
         entries = [
             (memo.get(key) or self._monomial(key), c) for key, c in p.terms.items()
         ]
         # sort keys are distinct, so the texts are never compared
         entries.sort(reverse=True)
-        return (
+        text = (
             "["
-            + ", ".join([f'{{"coeff": "{c}", {text}}}' for (_, text), c in entries])
+            + ", ".join([f'{{"coeff": "{c}", {body}}}' for (_, body), c in entries])
             + "]"
         )
+        self._texts[p] = text
+        return text
 
 
 def constant(value: int) -> XYPolynomial:

@@ -25,8 +25,6 @@ from dqsym.polynomial import (
     XYPolynomial,
     _check_degree,
     _masks,
-    _set_degree,
-    _set_terms,
     _width,
     _x_free_key,
     one,
@@ -282,50 +280,31 @@ def filtered_sweep(max_size, max_length):
 
 
 # The M-expansion by peeling: read the coefficients of the minimal-index
-# leading monomials at the top x-degree, subtract, repeat.
+# leading monomials at the top x-degree, subtract, repeat.  The residual
+# is a plain packed terms dict, peeled in place.
 
 
-class Residual(XYPolynomial):
-    """A mutable working copy of a polynomial, peeled in place.
+def subtract_product(terms: dict[int, int], a: XYPolynomial, b: XYPolynomial) -> None:
+    """terms -= a * b in place, on packed terms, without building a * b."""
+    if not a.terms or not b.terms:
+        return
+    _check_degree(a._total_degree() + b._total_degree())
+    a, b = a.terms, b.terms
+    if len(a) > len(b):
+        a, b = b, a
+    get = terms.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            v = get(k, 0) - ca * cb
+            if v:
+                terms[k] = v
+            else:
+                del terms[k]
 
-    ``subtract_product`` is the only mutation; ``freeze`` returns the
-    current value as an ordinary immutable polynomial.  A residual is
-    unhashable and should stay private to the computation that made it;
-    ``*`` never returns one, and it never keeps its degree.
-    """
 
-    __slots__ = ()
-
-    __hash__ = None
-
-    def __init__(self, p: XYPolynomial):
-        _set_terms(self, dict(p.terms))
-        _set_degree(self, None)
-
-    def _total_degree(self) -> int:
-        return max((key & 255 for key in self.terms), default=-1)
-
-    def subtract_product(self, a: XYPolynomial, b: XYPolynomial) -> None:
-        """self -= a * b, without building a * b."""
-        if not a.terms or not b.terms:
-            return
-        _check_degree(a._total_degree() + b._total_degree())
-        a, b = a.terms, b.terms
-        if len(a) > len(b):
-            a, b = b, a
-        terms = self.terms
-        get = terms.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                v = get(k, 0) - ca * cb
-                if v:
-                    terms[k] = v
-                else:
-                    del terms[k]
-
-    def freeze(self) -> XYPolynomial:
-        return XYPolynomial._raw(dict(self.terms))
+def _max_x_degree(terms: dict[int, int]) -> int:
+    return max((key >> 8 & 255 for key in terms), default=-1)
 
 
 def leading_x_coefficients(p: XYPolynomial) -> dict[tuple[int, ...], XYPolynomial]:
@@ -368,13 +347,14 @@ def peeling_expand_in_M(p, ctx):
     """
     _check_variables(p, ctx)
     coeffs = {}
-    residual = Residual(p)
-    degree = residual.max_x_degree()
+    residual = dict(p.terms)
+    degree = _max_x_degree(residual)
     while residual:
         if degree == 0:
-            coeffs[Composition()] = residual.freeze()
+            coeffs[Composition()] = XYPolynomial._raw(residual)
             break
-        found = leading_x_coefficients(residual.x_degree_component(degree))
+        top = {k: c for k, c in residual.items() if k >> 8 & 255 == degree}
+        found = leading_x_coefficients(XYPolynomial._raw(top))
         if not found:
             raise NotInSpan(
                 f"no leading monomial at x-degree {degree}; not in the span"
@@ -387,9 +367,9 @@ def peeling_expand_in_M(p, ctx):
                 raise NotInSpan(
                     f"expansion needs {gamma}, outside the truncation {ctx!r}"
                 ) from exc
-            residual.subtract_product(found[parts], basis)
+            subtract_product(residual, found[parts], basis)
             coeffs[gamma] = found[parts]
-        new_degree = residual.max_x_degree()
+        new_degree = _max_x_degree(residual)
         if new_degree >= degree:
             raise NotInSpan(
                 f"top x-degree stuck at {degree}; polynomial is not quasisymmetric"

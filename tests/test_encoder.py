@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from dqsym import cli
 from dqsym.compositions import Composition
 from dqsym.lrcalc import expansion_records
-from dqsym.polynomial import Monomial, RecordsEncoder, XYPolynomial, constant, zero
+from dqsym.polynomial import (
+    Monomial,
+    RecordsEncoder,
+    XYPolynomial,
+    constant,
+    x_var,
+    zero,
+)
 from dqsym.tableaux import WeightConvention
 
 PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
@@ -33,9 +40,33 @@ class TestRecordsEncoder:
     @PROPERTY
     @given(polynomials)
     def test_matches_json_dumps(self, p):
-        assert ENCODER.encode(p) == json.dumps(p.to_records())
-        # the second encoding reads every monomial from the memo
-        assert ENCODER.encode(p) == json.dumps(p.to_records())
+        expected = json.dumps(p.to_records())
+        assert ENCODER.encode(p) == expected
+        # the second encoding reads the text from the value memo, and an
+        # equal copy, a distinct object, must find it there too
+        assert ENCODER.encode(p) == expected
+        assert ENCODER.encode(XYPolynomial.from_records(p.to_records())) == expected
+
+    @PROPERTY
+    @given(polynomials)
+    def test_negation_from_one_encoder(self, p):
+        # p and -p have the same monomials and term count
+        encoder = RecordsEncoder()
+        assert encoder.encode(p) == json.dumps(p.to_records())
+        assert encoder.encode(-p) == json.dumps((-p).to_records())
+
+    def test_values_of_equal_hash(self):
+        # hash(-1) == hash(-2), and ints that differ by 2**61 - 1 hash
+        # alike, so these distinct values collide in hash
+        pairs = [
+            (constant(-1), constant(-2)),
+            (x_var(1) * 3, x_var(1) * (3 + 2**61 - 1)),
+        ]
+        for p, q in pairs:
+            assert hash(p) == hash(q) and p != q
+            encoder = RecordsEncoder()
+            for value in (p, q, p):
+                assert encoder.encode(value) == json.dumps(value.to_records())
 
     @pytest.mark.parametrize("value", [0, 1, -1, 7, 2**70, -(2**70)])
     def test_zero_and_constants(self, value):

@@ -128,7 +128,7 @@ class TestProductExpand:
 
     def test_drops_zero_outcomes(self, monkeypatch):
         # no sweep so far sums a routing outcome to zero, so feed one in
-        def outcomes(alpha, beta, merges, unit):
+        def outcomes(alpha, beta, merges, unit, tables=None):
             return {(1,): zero(), (2,): y_var(1)}
 
         monkeypatch.setattr(lrcalc, "routing_outcomes", outcomes)

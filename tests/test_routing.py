@@ -2,7 +2,9 @@
 
 ``product_expand`` and ``structure_coefficient`` walk the routings of
 alpha's and beta's parts once per state; the oracles enumerate every
-injection pair, or walk every path separately.
+injection pair, or walk every path separately.  Walks that share their
+tables through a mapping must agree with fresh walks, and the ``table``
+command's mapping must keep only the tables a later pair can reuse.
 """
 
 from math import comb
@@ -10,7 +12,13 @@ from math import comb
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqsym.compositions import Composition, enumerate_compositions, routing_states
+from dqsym import cli
+from dqsym.compositions import (
+    Composition,
+    enumerate_compositions,
+    routing_outcomes,
+    routing_states,
+)
 from dqsym.lrcalc import product_expand, structure_coefficient
 from dqsym.polynomial import XYPolynomial, one
 from dqsym.qsym import Expansion
@@ -138,3 +146,88 @@ def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
     assert operands
     for pair in operands:
         assert not any(p is w for p in pair for w in unit_merges)
+
+
+def _suffix_pairs(alpha, beta):
+    return {
+        (tuple(alpha[k:]), tuple(beta[m:]))
+        for k in range(len(alpha) + 1)
+        for m in range(len(beta) + 1)
+    }
+
+
+class TestSharedTables:
+    def test_walk_offers_each_table_under_its_suffix_pair(self):
+        alpha, beta = Composition([2, 1, 3]), Composition([1, 2])
+        tables = {}
+        outcomes = routing_outcomes(alpha, beta, cp_product, one(), tables)
+        assert set(tables) == _suffix_pairs(alpha, beta)
+        assert tables[tuple(alpha), tuple(beta)] is outcomes
+        for (u, v), table in tables.items():
+            assert table == routing_outcomes(u, v, cp_product, one())
+
+    def test_walk_reads_known_tables_without_stepping(self):
+        alpha, beta = Composition([2, 1]), Composition([1, 3])
+        merged = []
+
+        def merges(a, b):
+            merged.append((a, b))
+            return cp_product(a, b)
+
+        tables = {}
+        first = routing_outcomes(alpha, beta, merges, one(), tables)
+        assert merged
+        merged.clear()
+        assert routing_outcomes(alpha, beta, merges, one(), tables) is first
+        assert not merged
+
+    def test_shared_mapping_matches_fresh_walks(self):
+        # sweep order, so later pairs read the tables of earlier ones;
+        # the tables are oracle-consistent, so one mapping serves both
+        # conventions
+        sweep = cli._sweep(5, 3)
+        tables = {}
+        for alpha in sweep:
+            for beta in sweep:
+                for convention in WeightConvention:
+                    shared = product_expand(alpha, beta, convention, tables)
+                    assert shared == product_expand(alpha, beta, convention)
+
+    def test_sweep_tables_match_fresh_walks(self):
+        sweep = cli._sweep(5, 3)
+        tables = cli._SweepTables(5, 3)
+        for alpha in sweep:
+            tables.start_row(alpha)
+            for beta in sweep:
+                shared = product_expand(alpha, beta, tables=tables)
+                assert shared == product_expand(alpha, beta)
+
+    def test_table_command_keeps_only_reusable_tables(self, monkeypatch, capsys):
+        # the memory plan: a kept table either has two suffixes that can
+        # recur in a later row, or belongs to the last row
+        seen = []
+        records = cli.expansion_records
+
+        def recording(*args, tables, **kwargs):
+            seen.append(tables)
+            return records(*args, tables=tables, **kwargs)
+
+        monkeypatch.setattr(cli, "expansion_records", recording)
+        argv = ["table", "--max-size", "6", "--max-length", "3", "--format", "json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        sweep = cli._sweep(6, 3)
+        assert len(seen) == len(sweep) ** 2
+        tables = seen[0]
+        assert all(t is tables for t in seen)
+
+        def recurs(parts):
+            return len(parts) < 3 and sum(parts) < 6
+
+        last = sweep[-1].parts
+        assert not recurs(last)
+        walked = set().union(*(_suffix_pairs(a, b) for a in sweep for b in sweep))
+        reusable = {(u, v) for u, v in walked if recurs(u) and recurs(v)}
+        last_row = {(u, v) for u, v in walked if u == last and recurs(v)}
+        assert set(tables) == reusable | last_row
+        assert len(reusable) == 256
