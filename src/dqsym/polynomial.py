@@ -48,10 +48,12 @@ Z[y]-basis of products prod_i phi_{a_i}(x_i), phi_a(x) = (x - y_1) ...
 
 Serialization.  ``to_records`` gives a polynomial's JSON-ready term
 records.  ``RecordsEncoder`` writes the JSON text of those records
-straight from the packed terms, equal to ``json.dumps`` of them, and
-remembers each monomial's sort key and text for as long as the encoder
-lives; the CLI writes its coefficient tables with one encoder per
-command.
+straight from the packed terms, equal to ``json.dumps`` of them.  For
+as long as the encoder lives it remembers the text of each polynomial
+value it has encoded and, behind that, each monomial's sort key and
+text.  The CLI's ``table`` command makes one encoder per alpha row, so
+both memos hold at most one row's coefficients; ``product`` makes one
+per command.
 """
 
 from __future__ import annotations
