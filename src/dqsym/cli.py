@@ -76,11 +76,22 @@ def _dump(value) -> None:
 # Coefficient tables are written as JSON text built by hand, with the
 # key order and separators of json.dumps: a composition's parts by
 # _parts_text, a coefficient's records by a RecordsEncoder, one per
-# product command and one per alpha row of a table.
+# product command and one per alpha row of a table.  A table renders
+# each distinct gamma once, into a _PartsTexts that lives as long as
+# the command.
 
 
 def _parts_text(composition: Composition) -> str:
     return "[" + ", ".join(map(str, composition)) + "]"
+
+
+class _PartsTexts(dict):
+    """The ``_parts_text`` of each composition looked up, rendered on
+    its first lookup."""
+
+    def __missing__(self, composition: Composition) -> str:
+        text = self[composition] = _parts_text(composition)
+        return text
 
 
 def cmd_product(args) -> int:
@@ -240,7 +251,7 @@ class _SweepTables(dict):
         if row is not None and not self._recurs(row):
             for pair in [pair for pair in self if pair[0] == row]:
                 del self[pair]
-        self._row = alpha.parts
+        self._row = alpha
 
     def __setitem__(self, pair, table) -> None:
         u, v = pair
@@ -253,6 +264,7 @@ def cmd_table(args) -> int:
     max_length = args.max_length if args.max_length is not None else args.max_size
     compositions = _sweep(args.max_size, max_length)
     tables = _SweepTables(args.max_size, max_length)
+    gamma_text = _PartsTexts()
     write = sys.stdout.write
     if args.format == "human":
         _banner(args)
@@ -274,7 +286,7 @@ def cmd_table(args) -> int:
                 write(
                     "".join(
                         [
-                            f'{head}{_parts_text(r.gamma)}, "coeff": {encode(r.value)}}}\n'
+                            f'{head}{gamma_text[r.gamma]}, "coeff": {encode(r.value)}}}\n'
                             for r in rows
                         ]
                     )

@@ -4,9 +4,12 @@ A composition is a finite sequence of positive integers; the empty
 composition is allowed and indexes the unit of every algebra in this
 package.
 
-The canonical order on compositions, used wherever a deterministic
-sweep or serialization order is needed, is graded: first by the sum of
-parts, then by length, then lexicographically.
+A ``Composition`` is a tuple of its parts: it hashes, compares equal,
+indexes and iterates as that plain tuple does, so compositions and
+the walks' tuples of row parts key the same dict entries.  Its order
+is the canonical order on compositions, used wherever a deterministic
+sweep or serialization order is needed, and it is graded: first by
+the sum of parts, then by length, then lexicographically.
 """
 
 from __future__ import annotations
@@ -16,72 +19,64 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 
-class Composition:
-    """An immutable sequence of positive integer parts."""
+class Composition(tuple):
+    """An immutable sequence of positive integer parts.
 
-    __slots__ = ("parts",)
+    A composition is a tuple of its parts, so it hashes and compares
+    equal exactly as the plain tuple of those parts does, and a slice
+    of it is a plain tuple.  Its order is not the tuple's: ``<``,
+    ``<=``, ``>`` and ``>=`` follow the canonical graded order of
+    ``sort_key``.
+    """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
+    # the tuple is built by tuple.__new__; __init__ only validates it
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(parts)
-        for part in parts:
+        for part in self:
             if not isinstance(part, int) or part < 1:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
-        object.__setattr__(self, "parts", parts)
 
-    @classmethod
-    def _raw(cls, parts: tuple[int, ...]) -> Composition:
-        # trusted constructor: parts already a tuple of positive ints
-        c = object.__new__(cls)
-        object.__setattr__(c, "parts", parts)
-        return c
+    # trusted constructor: parts already a tuple of positive ints
+    _raw = classmethod(tuple.__new__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return self[:]
 
     def size(self) -> int:
         """Sum of the parts."""
-        return sum(self.parts)
+        return sum(self)
 
     def max_part(self) -> int:
         """Largest part, 0 for the empty composition."""
-        return max(self.parts, default=0)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, k):
-        return self.parts[k]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Composition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return max(self, default=0)
 
     def sort_key(self):
-        return (self.size(), len(self.parts), self.parts)
+        return (sum(self), len(self), self[:])
 
     def __lt__(self, other: Composition) -> bool:
         return self.sort_key() < other.sort_key()
 
+    def __le__(self, other: Composition) -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: Composition) -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: Composition) -> bool:
+        return self.sort_key() >= other.sort_key()
+
     def to_list(self) -> list[int]:
         """Serialized form: a plain integer array."""
-        return list(self.parts)
+        return list(self)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def __repr__(self) -> str:
-        return f"Composition({list(self.parts)})"
+        return f"Composition({list(self)})"
 
 
 def enumerate_compositions(max_length: int, max_part: int) -> list[Composition]:

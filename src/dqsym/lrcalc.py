@@ -33,8 +33,7 @@ are exactly the ones of the sum it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .compositions import (
     Composition,
@@ -59,9 +58,11 @@ from .tableaux import (
 from .polynomial import XYPolynomial, one, zero
 
 
-@dataclass(frozen=True)
-class StructureCoefficient:
-    """One entry of a coefficient table."""
+class StructureCoefficient(NamedTuple):
+    """One entry of a coefficient table: the coefficient ``value`` of
+    M_gamma in M_alpha * M_beta, written in ``convention``.  A named
+    tuple, so it is immutable and a table of many rows is cheap to
+    build."""
 
     alpha: Composition
     beta: Composition

@@ -21,7 +21,9 @@ Multiplying two monomials is adding their ints, and an int is only as
 wide as the highest variable index it uses, so indices are unbounded.
 A polynomial maps packed monomials to nonzero integer coefficients.
 Polynomials are immutable and hashable; equality of polynomials is
-equality of the mathematical objects.
+equality of the mathematical objects.  A polynomial's hash is found
+once, when first asked for, and kept, so a value that many table rows
+share is hashed once, not once per row.
 
 Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
@@ -205,11 +207,13 @@ def _x_free_key(key: int, y_mask: int) -> int:
 class XYPolynomial:
     """Integer polynomial in the x- and y-variables, in canonical form."""
 
-    __slots__ = ("terms", "_degree")
+    __slots__ = ("terms", "_degree", "_hash")
 
     terms: dict[int, int]
     # the total degree once known, else None; see _total_degree
     _degree: int | None
+    # the hash once found; unset until then, so _raw never touches it
+    _hash: int
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         cleaned: dict[int, int] = {}
@@ -263,7 +267,12 @@ class XYPolynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self.terms.items()))
+            _set_hash(self, h)
+            return h
 
     def __neg__(self) -> XYPolynomial:
         return XYPolynomial._raw({k: -c for k, c in self.terms.items()}, self._degree)
@@ -510,6 +519,7 @@ class XYPolynomial:
 # faster than object.__setattr__ on the hot path of _raw
 _set_terms = XYPolynomial.terms.__set__
 _set_degree = XYPolynomial._degree.__set__
+_set_hash = XYPolynomial._hash.__set__
 
 
 def _cell_coordinates(p: XYPolynomial, n_x: int) -> dict[tuple[int, ...], XYPolynomial]:

@@ -117,13 +117,13 @@ def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
         raise TruncationTooSmall(
             f"composition {alpha} needs {alpha.max_part()} y-variables, have {ctx.n_y}"
         )
-    key = (alpha.parts, ctx.n_x)
+    key = (alpha, ctx.n_x)
     cached = _double_monomial_cache.get(key)
     if cached is None:
         cached = zero()
         for indices in itertools.combinations(range(1, ctx.n_x + 1), len(alpha)):
             piece = one()
-            for part, index in zip(alpha.parts, indices):
+            for part, index in zip(alpha, indices):
                 piece = piece * cell_class(part, index)
             cached = cached + piece
         _double_monomial_cache[key] = cached

@@ -319,6 +319,21 @@ class TestExitCodes:
             err = self._assert_bad_input(argv, capsys)
             assert "packed-exponent limit" in err
 
+    def test_large_parts_of_low_degree(self, capsys):
+        # |alpha| + |beta| passes MAX_DEGREE, but every coefficient has
+        # degree at most 1: a bound on |alpha| + |beta| alone would
+        # wrongly reject these products
+        for argv in (
+            ["product", "256", "1,1,1,1", "--format", "json"],
+            ["product", "300", ",".join(["1"] * 300), "--format", "json"],
+        ):
+            assert main(argv) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert rows
+            for row in rows:
+                for term in row["coeff"]:
+                    assert sum(e for _, e in term["x"] + term["y"]) <= 1
+
     def test_bad_input_prints_no_stdout(self, capsys):
         # the check fires before the first line, so no partial table
         for argv in (

@@ -51,6 +51,49 @@ class TestComposition:
         ]
 
 
+class TestCompositionAsTuple:
+    """A composition is the tuple of its parts, ordered by the graded
+    order rather than lexicographically."""
+
+    def test_every_comparison_is_graded(self):
+        cs = enumerate_compositions(3, 3)
+        for a in cs:
+            for b in cs:
+                ka, kb = a.sort_key(), b.sort_key()
+                assert (a < b) == (ka < kb)
+                assert (a <= b) == (ka <= kb)
+                assert (a > b) == (ka > kb)
+                assert (a >= b) == (ka >= kb)
+
+    def test_identity_of_a_tuple(self):
+        for c in enumerate_compositions(3, 3):
+            assert c == c.parts and hash(c) == hash(c.parts)
+            assert type(c.parts) is tuple
+        assert Composition([1, 2]) != [1, 2]
+
+    def test_slices_and_raw(self):
+        c = Composition([3, 1, 2])
+        assert type(c[1:]) is tuple and c[1:] == (1, 2)
+        raw = Composition._raw((3,))
+        assert type(raw) is Composition and raw == Composition([3])
+
+    def test_constructor_errors(self):
+        for bad in (0, -1, "1", 1.0):
+            with pytest.raises(ValueError) as excinfo:
+                Composition([2, bad])
+            assert str(excinfo.value) == f"parts must be positive integers, got {bad!r}"
+        assert Composition(p for p in (2, 1)) == Composition([2, 1])
+        with pytest.raises(ValueError):
+            Composition(p for p in (2, 0))
+
+    def test_immutable(self):
+        c = Composition([1])
+        with pytest.raises(AttributeError):
+            c.parts = (2,)
+        with pytest.raises(AttributeError):
+            c.extra = 1
+
+
 class TestEnumerateCompositions:
     def test_small_listings(self):
         assert enumerate_compositions(1, 2) == [

@@ -42,10 +42,12 @@ class TestRecordsEncoder:
     def test_matches_json_dumps(self, p):
         expected = json.dumps(p.to_records())
         assert ENCODER.encode(p) == expected
-        # the second encoding reads the text from the value memo, and an
-        # equal copy, a distinct object, must find it there too
+        # the second encoding reads the text from the value memo, and
+        # equal copies, distinct objects that find their own hashes,
+        # must find it there too
         assert ENCODER.encode(p) == expected
         assert ENCODER.encode(XYPolynomial.from_records(p.to_records())) == expected
+        assert ENCODER.encode(-(-p)) == expected
 
     @PROPERTY
     @given(polynomials)

@@ -13,6 +13,7 @@ from dqsym.polynomial import (
     one,
     x_var,
     y_var,
+    zero,
 )
 
 from oracles import subtract_product, tuple_product, tuple_records, tuple_sum
@@ -83,6 +84,42 @@ class TestAgainstTupleOracle:
             {"coeff": "1", "x": [[3, 1]], "y": []},
         ]
         assert p.variables() == {("x", 3), ("x", 1000), ("y", 5000)}
+
+
+class TestKeptHash:
+    """A polynomial keeps its hash once found, so equal values built by
+    different routes must still hash alike, whichever is hashed first."""
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_equal_values_hash_alike(self, a, b):
+        def hashed(terms):
+            # operands that already keep their hashes, which must not
+            # leak into the values built from them
+            p = build(terms)
+            hash(p)
+            return p
+
+        for target, route in (
+            (tuple_sum(a, b), lambda: hashed(a) + hashed(b)),
+            (tuple_product(a, b), lambda: hashed(a) * hashed(b)),
+            (a, lambda: XYPolynomial.from_records(hashed(a).to_records())),
+            (tuple_sum({}, a, -1), lambda: -hashed(a)),
+            (a, lambda: -(-hashed(a))),
+        ):
+            p = build(target)
+            # the first use as a dict key finds p's hash and keeps it
+            memo = {p: "p"}
+            q = route()
+            assert q == p and hash(q) == hash(p)
+            assert memo[q] == "p" and memo[route()] == "p"
+            assert hash(q) == hash(p) == hash(build(target))
+
+    def test_zero(self):
+        h = hash(zero())
+        assert hash(zero()) == h
+        assert hash(XYPolynomial()) == h == hash(x_var(1) - x_var(1))
+        assert {zero(): 0}[XYPolynomial()] == 0
 
 
 single_terms = st.builds(lambda m, c: {m: c}, monomials, coefficients)
