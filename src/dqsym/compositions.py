@@ -34,7 +34,7 @@ class Composition(tuple):
     # the tuple is built by tuple.__new__; __init__ only validates it
     def __init__(self, parts: Iterable[int] = ()):
         for part in self:
-            if not isinstance(part, int) or part < 1:
+            if type(part) is bool or not isinstance(part, int) or part < 1:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
 
     # trusted constructor: parts already a tuple of positive ints
@@ -194,24 +194,15 @@ def enumerate_injections(source_size: int, target_size: int) -> list[OrderedInje
     ]
 
 
-def _routing_steps(alpha, beta, k: int, m: int, merges) -> list:
-    """The steps out of state (k, m) of the routing walk, as
-    (next k, next m, row part, weight); see ``routing_states``."""
-    steps = []
-    if k < len(alpha):
-        steps.append((k + 1, m, alpha[k], None))
-    if m < len(beta):
-        steps.append((k, m + 1, beta[m], None))
-        if k < len(alpha):
-            steps.extend(
-                (k + 1, m + 1, part, None if weight == 1 else weight)
-                for part, weight in merges(alpha[k], beta[m]).items()
-            )
-    return steps
-
-
-def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
-    """The states of the routing walk, each after every state it steps to.
+def routing_outcomes(
+    alpha: Sequence[int],
+    beta: Sequence[int],
+    merges,
+    unit,
+    tables=None,
+    target: Sequence[int] | None = None,
+) -> dict:
+    """Every outcome of the routing walk with its summed weight.
 
     A covering routing of the parts of ``alpha`` and ``beta`` into rows
     is a lattice path from (0, 0) to (len(alpha), len(beta)): state
@@ -219,45 +210,36 @@ def routing_states(alpha: Sequence[int], beta: Sequence[int], merges):
     beta.  Each step fills the next row with the next part of alpha
     (step A), the next part of beta (step B), or both at once (step
     AB), for which ``merges(a, b)`` maps each possible row part to its
-    weight.  Yields (k, m, steps) for every state but the last, the
-    steps as (next k, next m, row part, weight).  The weight is None
-    for a lone part and for a merge of weight 1, so a walk multiplies
-    only by the weights that change a value.  States come with k and
-    then m descending, so a walk that fills a table bottom-up finds
-    every state a step reaches already filled.
-    """
-    la, lb = len(alpha), len(beta)
-    for k in range(la, -1, -1):
-        for m in range(lb, -1, -1):
-            if k < la or m < lb:
-                yield k, m, _routing_steps(alpha, beta, k, m, merges)
+    weight.  An outcome is the tuple of row parts along a path, and its
+    weight the product of the path's merge weights, ``unit`` for a path
+    of lone parts; a merge of weight 1 is stepped without a product.
 
+    Filled bottom-up, with k and then m descending: the table of state
+    (k, m) maps each suffix of row parts that routes alpha[k:] and
+    beta[m:] to its summed weight, so a suffix shared by many paths is
+    extended once per step, not once per path.
 
-def routing_outcomes(
-    alpha: Sequence[int], beta: Sequence[int], merges, unit, tables=None
-) -> dict:
-    """Every outcome of the routing walk with its summed weight.
-
-    An outcome is the tuple of row parts along a path, and its weight
-    the product of the path's merge weights, ``unit`` for a path of
-    lone parts.  Filled bottom-up in the order of ``routing_states``:
-    the table of state (k, m) maps each suffix of row parts that routes
-    alpha[k:] and beta[m:] to its summed weight, so a suffix shared by
-    many paths is extended once per step, not once per path.
+    With a ``target`` composition the walk keeps only the suffixes that
+    end ``target``, and returns at most the one outcome ``target``
+    itself.  A targeted walk never reads or writes ``tables``.
 
     A table depends only on the suffix pair (alpha[k:], beta[m:]), as
-    tuples, so walks can share them.  ``tables`` is an optional
-    mapping owned by the caller: a state whose suffix pair it holds
-    takes that table, without computing its steps, and every table
-    built is offered to it by item assignment, which may decline to
-    keep it.  Without a mapping the walk gets a fresh dict.  Share one
-    mapping only among walks with the same ``merges`` and ``unit``.
-    The returned table may be held by ``tables``; do not mutate it.
+    tuples, so untargeted walks can share them.  ``tables`` is an
+    optional mapping owned by the caller: a state whose suffix pair it
+    holds takes that table, without computing its steps, and every
+    table built is offered to it by item assignment, which may decline
+    to keep it.  Without a mapping the walk gets a fresh dict.  Share
+    one mapping only among walks with the same ``merges`` and
+    ``unit``.  The returned table may be held by ``tables``; do not
+    mutate it.
     """
-    if tables is None:
+    if tables is None or target is not None:
         tables = {}
     alpha, beta = tuple(alpha), tuple(beta)
     la, lb = len(alpha), len(beta)
+    if target is not None:
+        target = tuple(target)
+        last = len(target) - 1
     # this walk's tables by state, whatever the mapping keeps
     walked: dict[tuple[int, int], dict] = {}
     for k in range(la, -1, -1):
@@ -269,11 +251,25 @@ def routing_outcomes(
                 if k == la and m == lb:
                     table = {(): unit}
                 else:
+                    # (table of the next state, row part, weight or None)
+                    steps = []
+                    if k < la:
+                        steps.append((walked[k + 1, m], alpha[k], None))
+                    if m < lb:
+                        steps.append((walked[k, m + 1], beta[m], None))
+                        if k < la:
+                            after = walked[k + 1, m + 1]
+                            steps.extend(
+                                (after, part, None if weight == 1 else weight)
+                                for part, weight in merges(alpha[k], beta[m]).items()
+                            )
                     table = {}
-                    for next_k, next_m, part, weight in _routing_steps(
-                        alpha, beta, k, m, merges
-                    ):
-                        for suffix, value in walked[next_k, next_m].items():
+                    for after, part, weight in steps:
+                        for suffix, value in after.items():
+                            if target is not None:
+                                at = last - len(suffix)
+                                if at < 0 or target[at] != part:
+                                    continue
                             if weight is not None:
                                 value = weight * value
                             key = (part,) + suffix

@@ -13,12 +13,13 @@ shuffle multiplicity of gamma.
 
 That sum is the definition.  ``product_expand`` and
 ``structure_coefficient`` compute it by one walk over the routings as
-lattice paths (``compositions.routing_states``): a skyline's rows are
-chosen independently, so the sum factors row by row along each path.
-Both walks compute under ORACLE_CONSISTENT and take their merged rows
-from ``tableaux.cp_product``, so the one-variable identity
+lattice paths (``compositions.routing_outcomes``), the latter targeted
+at its gamma: a skyline's rows are chosen independently, so the sum
+factors row by row along each path.  The walk computes under
+ORACLE_CONSISTENT and takes its merged rows from
+``tableaux.cp_product``, so the one-variable identity
 chi_a * chi_b = sum_c cp_product(a, b)[c] * chi_c is the very table
-they use.  The PAPER_LITERAL coefficient is the oracle-consistent one
+it uses.  The PAPER_LITERAL coefficient is the oracle-consistent one
 times (-1)**(|alpha| + |beta| - |gamma|); that sign is applied where a
 coefficient leaves the walk.
 
@@ -40,7 +41,6 @@ from .compositions import (
     compositions_of_size,
     enumerate_injections,
     routing_outcomes,
-    routing_states,
 )
 from .qsym import (
     Expansion,
@@ -112,38 +112,18 @@ def structure_coefficient(
 ) -> XYPolynomial:
     """The coefficient of M_gamma in M_alpha * M_beta.
 
-    Runs the routing walk of ``product_expand`` constrained to gamma,
-    bottom-up over the states (k, m, row): the summed weight of the
-    routings of alpha[k:] and beta[m:] onto the rows gamma[row:].  A
-    lone part must equal its row's part and weighs 1; a merged row of
-    c boxes weighs cp_product(a, b)[c].  The walk visits
-    O(len(alpha) * len(beta) * len(gamma)) states, and equals the
-    module's injection-pair definition because a skyline's rows are
-    chosen independently, so the skyline sum factors row by row.
+    Runs the routing walk of ``product_expand`` targeted at gamma
+    (``compositions.routing_outcomes``), which keeps only the suffixes
+    of row parts that end gamma: a lone part must equal its row's part
+    and weighs 1; a merged row of c boxes weighs cp_product(a, b)[c].
+    The walk's tables hold at most len(gamma) + 1 suffixes per state,
+    and it equals the module's injection-pair definition because a
+    skyline's rows are chosen independently, so the skyline sum
+    factors row by row.
     """
-    la, lb, n = len(alpha), len(beta), len(gamma)
-    ahead = {(la, lb): {n: one()}}
-    for k, m, steps in routing_states(alpha, beta, cp_product):
-        here: dict[int, XYPolynomial] = {}
-        # the parts left fill between max(la - k, lb - m) and
-        # (la - k) + (lb - m) rows, so only these rows can start here
-        for row in range(
-            max(0, n - (la - k) - (lb - m)), n - max(la - k, lb - m) + 1
-        ):
-            total = None
-            for next_k, next_m, part, weight in steps:
-                if part != gamma[row]:
-                    continue
-                rest = ahead[next_k, next_m].get(row + 1)
-                if rest is None:
-                    continue
-                if weight is not None:
-                    rest = weight * rest
-                total = rest if total is None else total + rest
-            if total is not None:
-                here[row] = total
-        ahead[k, m] = here
-    return _in_convention(ahead[0, 0].get(0, zero()), alpha, beta, gamma, convention)
+    outcomes = routing_outcomes(alpha, beta, cp_product, one(), target=gamma)
+    value = outcomes.get(tuple(gamma), zero())
+    return _in_convention(value, alpha, beta, gamma, convention)
 
 
 def skyline_census(

@@ -21,9 +21,10 @@ Multiplying two monomials is adding their ints, and an int is only as
 wide as the highest variable index it uses, so indices are unbounded.
 A polynomial maps packed monomials to nonzero integer coefficients.
 Polynomials are immutable and hashable; equality of polynomials is
-equality of the mathematical objects.  A polynomial's hash is found
-once, when first asked for, and kept, so a value that many table rows
-share is hashed once, not once per row.
+equality of the mathematical objects, and a constant equals its int
+and hashes as it.  A polynomial's hash is found once, when first asked
+for, and kept, so a value that many table rows share is hashed once,
+not once per row.
 
 Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
@@ -104,25 +105,6 @@ class Monomial(NamedTuple):
     def make(cls, x=(), y=()) -> Monomial:
         """Build a monomial from mappings or pair iterables, validating."""
         return cls(_normalize_exponents(x), _normalize_exponents(y))
-
-    def degree(self) -> int:
-        return sum(e for _, e in self.x) + sum(e for _, e in self.y)
-
-    def x_degree(self) -> int:
-        return sum(e for _, e in self.x)
-
-    def y_degree(self) -> int:
-        return sum(e for _, e in self.y)
-
-    def variables(self) -> set[Variable]:
-        return {("x", i) for i, _ in self.x} | {("y", j) for j, _ in self.y}
-
-    def sort_key(self):
-        """Key whose ascending order is the canonical term order."""
-        vector = tuple((0, i, -e) for i, e in self.x) + tuple(
-            (1, j, -e) for j, e in self.y
-        )
-        return (-self.degree(), vector)
 
     def __str__(self) -> str:
         if not self.x and not self.y:
@@ -270,7 +252,12 @@ class XYPolynomial:
         try:
             return self._hash
         except AttributeError:
-            h = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            # a constant equals its int, so it hashes as that int
+            if terms.keys() <= {0}:
+                h = hash(terms.get(0, 0))
+            else:
+                h = hash(frozenset(terms.items()))
             _set_hash(self, h)
             return h
 

@@ -58,8 +58,9 @@ class TruncationContext:
     __slots__ = ("n_x", "n_y")
 
     def __init__(self, n_x: int, n_y: int):
-        if not isinstance(n_x, int) or n_x < 0 or not isinstance(n_y, int) or n_y < 0:
-            raise ValueError("variable counts must be >= 0")
+        for count in (n_x, n_y):
+            if type(count) is bool or not isinstance(count, int) or count < 0:
+                raise ValueError("variable counts must be >= 0")
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_y", n_y)
 

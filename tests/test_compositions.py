@@ -78,7 +78,7 @@ class TestCompositionAsTuple:
         assert type(raw) is Composition and raw == Composition([3])
 
     def test_constructor_errors(self):
-        for bad in (0, -1, "1", 1.0):
+        for bad in (0, -1, "1", 1.0, True, False):
             with pytest.raises(ValueError) as excinfo:
                 Composition([2, bad])
             assert str(excinfo.value) == f"parts must be positive integers, got {bad!r}"

@@ -136,13 +136,9 @@ class TestProductExpand:
         assert expansion.coeffs == {Composition([2]): y_var(1)}
 
     def test_agrees_with_structure_coefficient(self):
-        pairs = [
-            (Composition([1]), Composition([1])),
-            (Composition([2]), Composition([1])),
-            (Composition([1, 1]), Composition([2])),
-            (Composition([1, 2]), Composition([2, 1])),
-        ]
-        for alpha, beta in pairs:
+        # the targeted walk of structure_coefficient against the
+        # untargeted walk of product_expand, on every candidate gamma
+        for alpha, beta in itertools.product(compositions_up_to(3), repeat=2):
             for convention in (PAPER, ORACLE):
                 expansion = product_expand(alpha, beta, convention)
                 candidates = support_candidates(alpha, beta)

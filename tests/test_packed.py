@@ -121,6 +121,19 @@ class TestKeptHash:
         assert hash(XYPolynomial()) == h == hash(x_var(1) - x_var(1))
         assert {zero(): 0}[XYPolynomial()] == 0
 
+    def test_constants_hash_as_their_ints(self):
+        # equal objects must hash alike, and a constant equals its int
+        for value in (3, -1, 1, 2**70):
+            c = constant(value)
+            assert c == value and hash(c) == hash(value)
+            assert len({c, value}) == 1
+            assert {value: "a"}.get(c) == "a"
+            assert {c: "a"}.get(value) == "a"
+        assert hash(zero()) == hash(0) == 0
+        assert len({zero(), 0}) == 1
+        assert {0: "a"}.get(zero()) == "a"
+        assert hash(one()) == hash(1) and hash(x_var(1) - x_var(1) + 5) == hash(5)
+
 
 single_terms = st.builds(lambda m, c: {m: c}, monomials, coefficients)
 units = st.builds(lambda c: {((), ()): c}, st.sampled_from([1, -1]))

@@ -46,8 +46,9 @@ PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
 class TestTruncationContext:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncationContext(-1, 0)
+        for bad in ((-1, 0), (True, 2), (2, False), (1.0, 2)):
+            with pytest.raises(ValueError, match="variable counts must be >= 0"):
+                TruncationContext(*bad)
         ctx = TruncationContext(2, 3)
         assert (ctx.n_x, ctx.n_y) == (2, 3)
         assert ctx == TruncationContext(2, 3)

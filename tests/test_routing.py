@@ -1,8 +1,9 @@
-"""The memoized routing walks against their definitional oracles.
+"""The memoized routing walk against its definitional oracles.
 
 ``product_expand`` and ``structure_coefficient`` walk the routings of
-alpha's and beta's parts once per state; the oracles enumerate every
-injection pair, or walk every path separately.  Walks that share their
+alpha's and beta's parts once per state, by ``routing_outcomes``, the
+latter targeted at its gamma; the oracles enumerate every injection
+pair, or walk every path separately.  Walks that share their
 tables through a mapping must agree with fresh walks, and the ``table``
 command's mapping must keep only the tables a later pair can reuse.
 """
@@ -17,7 +18,6 @@ from dqsym.compositions import (
     Composition,
     enumerate_compositions,
     routing_outcomes,
-    routing_states,
 )
 from dqsym.lrcalc import product_expand, structure_coefficient
 from dqsym.polynomial import XYPolynomial, one
@@ -112,14 +112,6 @@ def _size_at_most_4():
     return [c for c in enumerate_compositions(4, 4) if c.size() <= 4]
 
 
-def test_walk_steps_carry_no_unit_weight():
-    sweep = _size_at_most_4()
-    for alpha in sweep:
-        for beta in sweep:
-            for _, _, steps in routing_states(alpha, beta, cp_product):
-                assert all(weight is None or weight != 1 for *_, weight in steps)
-
-
 def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
     sweep = _size_at_most_4()
     # row_weight_sum is cached, so every walk meets these very objects
@@ -142,7 +134,9 @@ def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
     monkeypatch.setattr(XYPolynomial, "__rmul__", recording)
     for alpha in sweep:
         for beta in sweep:
-            product_expand(alpha, beta)
+            # the untargeted walk, and a targeted one per gamma
+            for gamma in product_expand(alpha, beta).support():
+                structure_coefficient(alpha, beta, gamma)
     assert operands
     for pair in operands:
         assert not any(p is w for p in pair for w in unit_merges)
