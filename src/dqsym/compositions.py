@@ -18,6 +18,17 @@ import itertools
 from collections import Counter
 from typing import Iterable, Sequence
 
+from .polynomial import (
+    _UNIT_TERMS,
+    MAX_DEGREE,
+    XYPolynomial,
+    _add_into,
+    _check_degree,
+    _mul_into,
+    _mul_terms,
+    one,
+)
+
 
 class Composition(tuple):
     """An immutable sequence of positive integer parts.
@@ -137,11 +148,19 @@ class OrderedInjection:
 
     def __init__(self, images: Iterable[int], target_size: int):
         images = tuple(images)
-        if not isinstance(target_size, int) or target_size < 0:
+        if (
+            type(target_size) is bool
+            or not isinstance(target_size, int)
+            or target_size < 0
+        ):
             raise ValueError("target_size must be >= 0")
         previous = 0
         for image in images:
-            if not isinstance(image, int) or not previous < image <= target_size:
+            if (
+                type(image) is bool
+                or not isinstance(image, int)
+                or not previous < image <= target_size
+            ):
                 raise ValueError(
                     f"images must increase strictly within [1, {target_size}], got {images}"
                 )
@@ -198,7 +217,6 @@ def routing_outcomes(
     alpha: Sequence[int],
     beta: Sequence[int],
     merges,
-    unit,
     tables=None,
     target: Sequence[int] | None = None,
 ) -> dict:
@@ -209,15 +227,30 @@ def routing_outcomes(
     (k, m) has placed the first k parts of alpha and the first m of
     beta.  Each step fills the next row with the next part of alpha
     (step A), the next part of beta (step B), or both at once (step
-    AB), for which ``merges(a, b)`` maps each possible row part to its
-    weight.  An outcome is the tuple of row parts along a path, and its
-    weight the product of the path's merge weights, ``unit`` for a path
-    of lone parts; a merge of weight 1 is stepped without a product.
+    AB), for which ``merges(a, b)`` maps each possible row part c to
+    its weight, an ``XYPolynomial`` homogeneous of degree a + b - c.
+    An outcome is the tuple of row parts along a path, and its weight
+    the product of the path's merge weights, ``one()`` for a path of
+    lone parts; a merge of weight 1 is stepped without a product.
 
     Filled bottom-up, with k and then m descending: the table of state
     (k, m) maps each suffix of row parts that routes alpha[k:] and
     beta[m:] to its summed weight, so a suffix shared by many paths is
-    extended once per step, not once per path.
+    extended once per step, not once per path.  A table is built on
+    the terms dicts of the polynomial kernel.  A key's first
+    contribution is stored as the object it is: the next state's value
+    for a step without a product, the weight itself for a product with
+    a unit value, as ``*`` returns it, and else a fresh product dict.
+    A second contribution copies the key's terms once, and later ones
+    add into that copy in place.  When the state is done each dict it
+    built is wrapped as one ``XYPolynomial``, so a table holds
+    polynomials and never changes a value it did not build.
+
+    By the degree of the merges, an entry of state (k, m) has degree
+    |alpha[k:]| + |beta[m:]| - |suffix|, at most
+    min(|alpha|, |beta|).  So the packed-exponent limit ``MAX_DEGREE``
+    is checked only when that minimum passes it, and then for every
+    product entry as it is written, from those sizes.
 
     With a ``target`` composition the walk keeps only the suffixes that
     end ``target``, and returns at most the one outcome ``target``
@@ -229,9 +262,8 @@ def routing_outcomes(
     holds takes that table, without computing its steps, and every
     table built is offered to it by item assignment, which may decline
     to keep it.  Without a mapping the walk gets a fresh dict.  Share
-    one mapping only among walks with the same ``merges`` and
-    ``unit``.  The returned table may be held by ``tables``; do not
-    mutate it.
+    one mapping only among walks with the same ``merges``.  The
+    returned table may be held by ``tables``; do not mutate it.
     """
     if tables is None or target is not None:
         tables = {}
@@ -240,6 +272,7 @@ def routing_outcomes(
     if target is not None:
         target = tuple(target)
         last = len(target) - 1
+    check = min(sum(alpha), sum(beta)) > MAX_DEGREE
     # this walk's tables by state, whatever the mapping keeps
     walked: dict[tuple[int, int], dict] = {}
     for k in range(la, -1, -1):
@@ -249,7 +282,7 @@ def routing_outcomes(
             table = tables.get(pair)
             if table is None:
                 if k == la and m == lb:
-                    table = {(): unit}
+                    table = {(): one()}
                 else:
                     # (table of the next state, row part, weight or None)
                     steps = []
@@ -263,18 +296,47 @@ def routing_outcomes(
                                 (after, part, None if weight == 1 else weight)
                                 for part, weight in merges(alpha[k], beta[m]).items()
                             )
+                    if check:
+                        size = sum(rest) + sum(beta[m:])
+                    # values are polynomials that others may hold, or
+                    # terms dicts this state built and alone mutates
                     table = {}
                     for after, part, weight in steps:
+                        if weight is not None:
+                            w = weight.terms
                         for suffix, value in after.items():
                             if target is not None:
                                 at = last - len(suffix)
                                 if at < 0 or target[at] != part:
                                     continue
-                            if weight is not None:
-                                value = weight * value
                             key = (part,) + suffix
                             old = table.get(key)
-                            table[key] = value if old is None else old + value
+                            if weight is None:
+                                if old is None:
+                                    table[key] = value
+                                elif old.__class__ is dict:
+                                    _add_into(old, value.terms)
+                                else:
+                                    table[key] = terms = dict(old.terms)
+                                    _add_into(terms, value.terms)
+                                continue
+                            v = value.terms
+                            if check and v:
+                                _check_degree(size - part - sum(suffix))
+                            if old is None:
+                                # a unit value shares the weight, as * does
+                                if v == _UNIT_TERMS:
+                                    table[key] = weight
+                                else:
+                                    table[key] = _mul_terms(w, v)
+                            elif old.__class__ is dict:
+                                _mul_into(old, w, v)
+                            else:
+                                table[key] = terms = dict(old.terms)
+                                _mul_into(terms, w, v)
+                    for key, value in table.items():
+                        if value.__class__ is dict:
+                            table[key] = XYPolynomial._raw(value)
                 tables[pair] = table
             walked[k, m] = table
     return walked[0, 0]
@@ -292,5 +354,7 @@ def overlapping_shuffles(alpha: Composition, beta: Composition) -> Counter[Compo
     ``routing_outcomes``, whose merge step is the one row a + b with
     weight 1, so the count is built by additions alone.
     """
-    outcomes = routing_outcomes(alpha, beta, lambda a, b: {a + b: 1}, 1)
-    return Counter({Composition(parts): count for parts, count in outcomes.items()})
+    outcomes = routing_outcomes(alpha, beta, lambda a, b: {a + b: one()})
+    return Counter(
+        {Composition(parts): count.as_int() for parts, count in outcomes.items()}
+    )

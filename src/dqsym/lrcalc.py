@@ -55,7 +55,7 @@ from .tableaux import (
     cp_product,
     enumerate_skylines,
 )
-from .polynomial import XYPolynomial, one, zero
+from .polynomial import XYPolynomial, zero
 
 
 class StructureCoefficient(NamedTuple):
@@ -121,7 +121,7 @@ def structure_coefficient(
     skyline's rows are chosen independently, so the skyline sum
     factors row by row.
     """
-    outcomes = routing_outcomes(alpha, beta, cp_product, one(), target=gamma)
+    outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
     value = outcomes.get(tuple(gamma), zero())
     return _in_convention(value, alpha, beta, gamma, convention)
 
@@ -184,7 +184,7 @@ def product_expand(
     result is built unchecked; only the sums that cancel to zero are
     dropped.
     """
-    outcomes = routing_outcomes(alpha, beta, cp_product, one(), tables)
+    outcomes = routing_outcomes(alpha, beta, cp_product, tables)
     if convention is WeightConvention.PAPER_LITERAL:
         outcomes = {
             parts: _in_convention(value, alpha, beta, parts, convention)

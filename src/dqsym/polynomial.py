@@ -37,6 +37,15 @@ top-degree parts of two nonzero factors multiply to a nonzero form.
 A sum can cancel its top terms, so it finds its degree by one scan of
 its terms, and only when a product first asks for it.
 
+Terms dicts.  The routing walk (``compositions.routing_outcomes``)
+sums and multiplies on terms dicts, not on polynomials, and wraps
+each dict it builds once.  ``_add_into(out, a)`` adds ``a`` into
+``out`` in place; ``_mul_terms(a, b)`` returns a * b as a new dict,
+shifting keys for a one-term factor as ``*`` does; ``_mul_into(out,
+a, b)`` adds a * b into ``out`` in place.  The two in-place helpers
+drop the keys that cancel.  None of them checks the degree limit: a
+caller checks it first, as ``*`` does.
+
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
 total degree first, ties broken by the exponent vector read along
@@ -181,6 +190,42 @@ def _add_into(out: dict[int, int], terms: Mapping[int, int]) -> None:
                 del out[k]
 
 
+def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """a * b as a new terms dict, with no check of the degree limit."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # distinct keys shifted by one key stay distinct, and a product
+        # of nonzero integers is nonzero
+        ((ka, ca),) = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return out
+
+
+def _mul_into(out: dict[int, int], a: Mapping[int, int], b: Mapping[int, int]) -> None:
+    """out += a * b in place, dropping the coefficients that cancel; no
+    check of the degree limit."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            v = get(k, 0) + ca * cb
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+
+
 def _x_free_key(key: int, y_mask: int) -> int:
     """The key with its x-exponents removed."""
     return key & y_mask | (key & 255) - (key >> 8 & 255)
@@ -203,7 +248,7 @@ class XYPolynomial:
             for monomial, coefficient in terms.items():
                 if not isinstance(monomial, Monomial):
                     raise TypeError("keys must be Monomial instances")
-                if not isinstance(coefficient, int):
+                if type(coefficient) is bool or not isinstance(coefficient, int):
                     raise TypeError("coefficients must be integers")
                 if coefficient:
                     key = _pack(
@@ -243,7 +288,7 @@ class XYPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = constant(other)
+            other = constant(int(other))
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         return self.terms == other.terms
@@ -266,7 +311,7 @@ class XYPolynomial:
 
     def __add__(self, other) -> XYPolynomial:
         if isinstance(other, int):
-            other = constant(other)
+            other = constant(int(other))
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         big, small = self.terms, other.terms
@@ -280,7 +325,7 @@ class XYPolynomial:
 
     def __sub__(self, other) -> XYPolynomial:
         if isinstance(other, int):
-            other = constant(other)
+            other = constant(int(other))
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         return self + (-other)
@@ -310,22 +355,7 @@ class XYPolynomial:
             return _ZERO
         degree = self._total_degree() + other._total_degree()
         _check_degree(degree)
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # distinct keys shifted by one key stay distinct, and a
-            # product of nonzero integers is nonzero
-            ((ka, ca),) = a.items()
-            return XYPolynomial._raw({ka + kb: ca * cb for kb, cb in b.items()}, degree)
-        out: dict[int, int] = {}
-        get = out.get
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return XYPolynomial._raw(out, degree)
+        return XYPolynomial._raw(_mul_terms(a, b), degree)
 
     __rmul__ = __mul__
 
@@ -626,7 +656,7 @@ class RecordsEncoder:
 
 def constant(value: int) -> XYPolynomial:
     """The constant polynomial ``value``."""
-    if not isinstance(value, int):
+    if type(value) is bool or not isinstance(value, int):
         raise TypeError("constant must be an integer")
     if value == 0:
         return _ZERO
@@ -635,14 +665,14 @@ def constant(value: int) -> XYPolynomial:
 
 def x_var(index: int) -> XYPolynomial:
     """The variable x_index as a polynomial."""
-    if not isinstance(index, int) or index < 1:
+    if type(index) is bool or not isinstance(index, int) or index < 1:
         raise ValueError("index must be a positive integer")
     return XYPolynomial._raw({1 | 1 << 8 | 1 << 16 * index: 1})
 
 
 def y_var(index: int) -> XYPolynomial:
     """The variable y_index as a polynomial."""
-    if not isinstance(index, int) or index < 1:
+    if type(index) is bool or not isinstance(index, int) or index < 1:
         raise ValueError("index must be a positive integer")
     return XYPolynomial._raw({1 | 1 << 16 * index + 8: 1})
 

@@ -154,6 +154,10 @@ class TestOrderedInjection:
             OrderedInjection([0], 3)
         with pytest.raises(ValueError):
             OrderedInjection([4], 3)
+        with pytest.raises(ValueError, match="images must increase strictly"):
+            OrderedInjection([True], 1)
+        with pytest.raises(ValueError, match="target_size must be >= 0"):
+            OrderedInjection([1], True)
 
     def test_part_routing(self):
         iota = OrderedInjection([1, 3], 3)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from dqsym import cli, compositions, lrcalc, qsym, tableaux
 from dqsym.compositions import Composition
-from dqsym.polynomial import XYPolynomial
+from dqsym.polynomial import XYPolynomial, x_var, y_var
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -69,6 +69,10 @@ def test_tracer_wraps_and_restores_every_name(capsys):
         assert cli.main(["table", "--max-size", "2", "--max-length", "2"]) == 0
         assert cli.main(["verify", "--max-size", "1"]) == 0
         lrcalc.skyline_census(one, one, two)
+        # the routing walk sums on terms dicts, and warm caches may leave
+        # the commands no kernel operator to call, so call both here
+        assert x_var(1) + y_var(1) == y_var(1) + x_var(1)
+        assert x_var(1) * y_var(1) == y_var(1) * x_var(1)
         capsys.readouterr()
     finally:
         tracer.uninstall()

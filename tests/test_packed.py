@@ -9,6 +9,8 @@ from dqsym.polynomial import (
     MAX_DEGREE,
     Monomial,
     XYPolynomial,
+    _mul_into,
+    _mul_terms,
     constant,
     one,
     x_var,
@@ -137,6 +139,40 @@ class TestKeptHash:
 
 single_terms = st.builds(lambda m, c: {m: c}, monomials, coefficients)
 units = st.builds(lambda c: {((), ()): c}, st.sampled_from([1, -1]))
+
+
+class TestTermsHelpers:
+    """``_mul_terms`` and ``_mul_into``, the products the routing walk
+    makes on terms dicts, against the operators."""
+
+    @PROPERTY
+    @given(st.one_of(units, single_terms, term_maps), term_maps)
+    def test_mul_terms(self, a, b):
+        p, q = build(a), build(b)
+        kept = dict(p.terms), dict(q.terms)
+        product = _mul_terms(p.terms, q.terms)
+        assert product == (p * q).terms
+        assert product is not p.terms and product is not q.terms
+        assert (dict(p.terms), dict(q.terms)) == kept
+
+    @PROPERTY
+    @given(term_maps, term_maps, term_maps)
+    def test_mul_into(self, o, a, b):
+        p, q = build(a), build(b)
+        # the second start cancels the whole product, the third part of it
+        for start in (build(o), -(p * q), build(o) - p * q):
+            out = dict(start.terms)
+            _mul_into(out, p.terms, q.terms)
+            assert out == (start + p * q).terms
+            assert 0 not in out.values()
+
+    @PROPERTY
+    @given(term_maps, term_maps)
+    def test_mul_terms_with_cancellation(self, a, b):
+        plus, minus = build(tuple_sum(a, b)), build(tuple_sum(a, b, -1))
+        product = _mul_terms(plus.terms, minus.terms)
+        assert product == (plus * minus).terms
+        assert 0 not in product.values()
 
 
 class TestShortcutProducts:

@@ -60,6 +60,21 @@ class TestCanonicalForm:
             Monomial.make(y=[(2, 1), (2, 3)])
         assert Monomial.make(x={1: 0}) == Monomial()
 
+    def test_integer_validation(self):
+        # bool is an int subclass, but True is no coefficient or index
+        for bad in (True, False, 1.0, "1"):
+            with pytest.raises(TypeError, match="constant must be an integer"):
+                constant(bad)
+            with pytest.raises(TypeError, match="coefficients must be integers"):
+                XYPolynomial({Monomial(): bad})
+        for bad in (True, False, 0, -1, 1.0):
+            for var in (x_var, y_var):
+                with pytest.raises(ValueError, match="index must be a positive integer"):
+                    var(bad)
+        # the operators still read a bool operand as its int
+        assert one() == True and zero() == False
+        assert (x_var(1) + True).to_records()[1] == {"coeff": "1", "x": [], "y": []}
+
     def test_immutability(self):
         p = x_var(1)
         with pytest.raises(AttributeError):

@@ -4,23 +4,27 @@
 alpha's and beta's parts once per state, by ``routing_outcomes``, the
 latter targeted at its gamma; the oracles enumerate every injection
 pair, or walk every path separately.  Walks that share their
-tables through a mapping must agree with fresh walks, and the ``table``
-command's mapping must keep only the tables a later pair can reuse.
+tables through a mapping must agree with fresh walks and leave the
+shared values unchanged, and the ``table`` command's mapping must keep
+only the tables a later pair can reuse.  The walk checks the degree
+limit of the packed exponents from the sizes of its entries.
 """
 
 from math import comb
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqsym import cli
+from dqsym import compositions as compositions_module
 from dqsym.compositions import (
     Composition,
     enumerate_compositions,
     routing_outcomes,
 )
 from dqsym.lrcalc import product_expand, structure_coefficient
-from dqsym.polynomial import XYPolynomial, one
+from dqsym.polynomial import one, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention, cp_product
 
@@ -123,15 +127,21 @@ def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
         if weight == 1
     ]
     assert len(unit_merges) == 16
+    # the walk multiplies terms dicts, by the helpers compositions binds
     operands = []
-    multiply = XYPolynomial.__mul__
+    mul_terms = compositions_module._mul_terms
+    mul_into = compositions_module._mul_into
 
-    def recording(self, other):
-        operands.append((self, other))
-        return multiply(self, other)
+    def recording_terms(a, b):
+        operands.append((a, b))
+        return mul_terms(a, b)
 
-    monkeypatch.setattr(XYPolynomial, "__mul__", recording)
-    monkeypatch.setattr(XYPolynomial, "__rmul__", recording)
+    def recording_into(out, a, b):
+        operands.append((a, b))
+        mul_into(out, a, b)
+
+    monkeypatch.setattr(compositions_module, "_mul_terms", recording_terms)
+    monkeypatch.setattr(compositions_module, "_mul_into", recording_into)
     for alpha in sweep:
         for beta in sweep:
             # the untargeted walk, and a targeted one per gamma
@@ -139,7 +149,24 @@ def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
                 structure_coefficient(alpha, beta, gamma)
     assert operands
     for pair in operands:
-        assert not any(p is w for p in pair for w in unit_merges)
+        assert not any(p is w.terms for p in pair for w in unit_merges)
+
+
+def test_walk_checks_the_degree_limit():
+    # merges(a, b)[c] has degree a + b - c, as the walk requires; the
+    # outcome (200, 56) of merged rows has degree 200 + 56 = 256
+    def merges(a, b):
+        return {max(a, b): y_var(1) ** min(a, b)}
+
+    with pytest.raises(ValueError, match="total degree 256 exceeds"):
+        routing_outcomes((200, 56), (200, 56), merges)
+    with pytest.raises(ValueError, match="total degree 256 exceeds"):
+        routing_outcomes((200, 56), (200, 56), merges, target=(200, 56))
+    outcomes = routing_outcomes((200, 55), (200, 55), merges)
+    assert outcomes[200, 55] == y_var(1) ** 255
+    assert routing_outcomes((200, 55), (200, 55), merges, target=(200, 55)) == {
+        (200, 55): y_var(1) ** 255
+    }
 
 
 def _suffix_pairs(alpha, beta):
@@ -154,11 +181,11 @@ class TestSharedTables:
     def test_walk_offers_each_table_under_its_suffix_pair(self):
         alpha, beta = Composition([2, 1, 3]), Composition([1, 2])
         tables = {}
-        outcomes = routing_outcomes(alpha, beta, cp_product, one(), tables)
+        outcomes = routing_outcomes(alpha, beta, cp_product, tables)
         assert set(tables) == _suffix_pairs(alpha, beta)
         assert tables[tuple(alpha), tuple(beta)] is outcomes
         for (u, v), table in tables.items():
-            assert table == routing_outcomes(u, v, cp_product, one())
+            assert table == routing_outcomes(u, v, cp_product)
 
     def test_walk_reads_known_tables_without_stepping(self):
         alpha, beta = Composition([2, 1]), Composition([1, 3])
@@ -169,10 +196,10 @@ class TestSharedTables:
             return cp_product(a, b)
 
         tables = {}
-        first = routing_outcomes(alpha, beta, merges, one(), tables)
+        first = routing_outcomes(alpha, beta, merges, tables)
         assert merged
         merged.clear()
-        assert routing_outcomes(alpha, beta, merges, one(), tables) is first
+        assert routing_outcomes(alpha, beta, merges, tables) is first
         assert not merged
 
     def test_shared_mapping_matches_fresh_walks(self):
@@ -195,6 +222,30 @@ class TestSharedTables:
             for beta in sweep:
                 shared = product_expand(alpha, beta, tables=tables)
                 assert shared == product_expand(alpha, beta)
+
+    def test_walks_never_mutate_shared_tables(self):
+        # a walk adds into the terms of values it built itself only;
+        # the values of a shared table are other walks' results
+        sweep = cli._sweep(5, 3)
+        tables = cli._SweepTables(5, 3)
+        for alpha in sweep:
+            tables.start_row(alpha)
+            for beta in sweep:
+                product_expand(alpha, beta, tables=tables)
+
+        def snapshot():
+            return {
+                pair: {suffix: dict(value.terms) for suffix, value in table.items()}
+                for pair, table in list(tables.items())
+            }
+
+        before = snapshot()
+        assert before
+        for alpha in sweep:
+            for beta in sweep:
+                product_expand(alpha, beta, tables=tables)
+        after = snapshot()
+        assert {pair: after[pair] for pair in before} == before
 
     def test_table_command_keeps_only_reusable_tables(self, monkeypatch, capsys):
         # the memory plan: a kept table either has two suffixes that can
