@@ -50,13 +50,13 @@ Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
 total degree first, ties broken by the exponent vector read along
 x_1, x_2, ..., y_1, y_2, ... (higher exponent on an earlier variable
-wins).  On packed keys of one common width that is descending order of
-(byte 0, the x bytes, the y bytes).
+wins).  Every sort of terms uses the one key ``_order_key``.
 
-Cell coordinates.  ``_cell_coordinates`` rewrites a polynomial in the
-Z[y]-basis of products prod_i phi_{a_i}(x_i), phi_a(x) = (x - y_1) ...
-(x - y_a), by trading x-exponents for y-variables on the packed keys;
-``qsym.expand_in_M`` reads the M-expansion off those coordinates.
+Coordinates.  ``_x_coordinates`` groups terms by x-part, giving their
+coordinates in the Z[y]-basis of x-monomials.  ``_cell_coordinates``
+first trades x-exponents for y-variables on the packed keys, giving the
+Z[y]-basis prod_i phi_{a_i}(x_i), phi_a(x) = (x - y_1) ... (x - y_a).
+``qsym`` reads the M-expansion and quasisymmetry off these coordinates.
 
 Serialization.  ``to_records`` gives a polynomial's JSON-ready term
 records.  ``RecordsEncoder`` writes the JSON text of those records
@@ -85,7 +85,7 @@ def _normalize_exponents(data) -> ExponentPairs:
         data = data.items()
     cleaned = []
     for index, exponent in data:
-        if not isinstance(index, int) or not isinstance(exponent, int):
+        if any(type(v) is bool or not isinstance(v, int) for v in (index, exponent)):
             raise ValueError("variable indices and exponents must be integers")
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
@@ -160,6 +160,13 @@ def _fields(key: int, width: int) -> tuple[bytes, bytes]:
     """The x- and y-exponents of a key, x_1 and y_1 first."""
     b = key.to_bytes(width, "little")
     return b[2::2], b[3::2]
+
+
+def _order_key(key: int) -> tuple[int, bytes, bytes]:
+    """(total degree, x bytes, y bytes), trailing zero bytes stripped so
+    that keys of any width compare; the canonical order sorts descending."""
+    b = key.to_bytes(_width((key,)) or 1, "little")
+    return b[0], b[2::2].rstrip(b"\0"), b[3::2].rstrip(b"\0")
 
 
 def _monomial(xs: bytes, ys: bytes) -> Monomial:
@@ -360,7 +367,7 @@ class XYPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> XYPolynomial:
-        if not isinstance(n, int) or n < 0:
+        if type(n) is bool or not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = _ONE
         base = self
@@ -418,7 +425,8 @@ class XYPolynomial:
         values: dict[Variable, XYPolynomial] = {}
         for var, value in assignment.items():
             kind, index = var
-            if kind not in ("x", "y") or not isinstance(index, int) or index < 1:
+            bad_index = type(index) is bool or not isinstance(index, int) or index < 1
+            if kind not in ("x", "y") or bad_index:
                 raise ValueError(f"bad variable {var!r}")
             values[var] = constant(value) if isinstance(value, int) else value
         powers: dict[tuple[Variable, int], XYPolynomial] = {}
@@ -467,13 +475,11 @@ class XYPolynomial:
 
     def _sorted_fields(self) -> list[tuple[bytes, bytes, int]]:
         """(x-exponents, y-exponents, coefficient) in the canonical order."""
-        width = _width(self.terms) or 1
-        decorated = []
-        for key, c in self.terms.items():
-            b = key.to_bytes(width, "little")
-            decorated.append((b[0], b[2::2], b[3::2], c))
-        decorated.sort(reverse=True)
-        return [(xs, ys, c) for _, xs, ys, c in decorated]
+        # order keys are distinct, so the coefficients are never compared
+        decorated = sorted(
+            [(_order_key(key), c) for key, c in self.terms.items()], reverse=True
+        )
+        return [(xs, ys, c) for (_, xs, ys), c in decorated]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in the canonical order, largest monomial first."""
@@ -584,6 +590,15 @@ def _cell_coordinates(p: XYPolynomial, n_x: int) -> dict[tuple[int, ...], XYPoly
         terms = {}
         for bucket in buckets:
             terms.update(bucket)
+    return _x_coordinates(terms, n_x)
+
+
+def _x_coordinates(
+    terms: Mapping[int, int], n_x: int
+) -> dict[tuple[int, ...], XYPolynomial]:
+    """The terms grouped by x-part, x stripped from each key: keyed by
+    (e_1, ..., e_n_x), the nonzero x-free coefficient of x_1^e_1 ...
+    x_n_x^e_n_x.  ``terms`` must use no x-variable past x_n_x."""
     x_mask, y_mask = _masks(_width(terms))
     groups: dict[int, dict[int, int]] = {}
     for key, c in terms.items():
@@ -614,12 +629,9 @@ class RecordsEncoder:
     repeat a coefficient encodes it once.  Behind it, for each packed
     monomial it has met, the monomial's canonical sort key and its
     ``"x": [...], "y": [...]`` text, so coefficients that share
-    monomials build each monomial's text once.  The sort key is
-    (total degree, x bytes, y bytes) with trailing zero bytes stripped,
-    which orders as ``_sorted_fields`` does: a stripped field that is a
-    prefix of another sorts first, as its zero padding would.  Both
-    memos grow with what the encoder meets, so an encoder should live
-    no longer than one row of a table.
+    monomials build each monomial's text once.  Both memos grow with
+    what the encoder meets, so an encoder should live no longer than one
+    row of a table.
     """
 
     __slots__ = ("_monomials", "_texts")
@@ -629,9 +641,9 @@ class RecordsEncoder:
         self._texts: dict[XYPolynomial, str] = {}
 
     def _monomial(self, key: int) -> tuple[tuple[int, bytes, bytes], str]:
-        b = key.to_bytes(_width((key,)) or 1, "little")
-        xs, ys = b[2::2].rstrip(b"\0"), b[3::2].rstrip(b"\0")
-        entry = ((b[0], xs, ys), f'"x": {_pairs_text(xs)}, "y": {_pairs_text(ys)}')
+        order = _order_key(key)
+        _, xs, ys = order
+        entry = (order, f'"x": {_pairs_text(xs)}, "y": {_pairs_text(ys)}')
         self._monomials[key] = entry
         return entry
 

@@ -19,6 +19,15 @@ products prod_i phi_{a_i}(x_i) form a Z[y]-basis of Z[x_1..x_n_x; y],
 and in that basis M_gamma has coordinate 1 at each of its
 C(n_x, len(gamma)) placements, the cells whose nonzero entries read
 gamma in order, and 0 at every other cell.
+
+``is_quasisymmetric`` asks whether restricting to any window of
+x-variables, the others set to the basepoint y_1, gives one polynomial.
+y_1 kills phi_a(x_i) for a >= 1, so by uniqueness of coordinates that
+holds exactly when all placements of each gamma have one coordinate
+(0 if missing): ``expand_in_M``'s check, ``_placements``.  With no
+y-variables the basepoint 0 kills x_i^a instead, so the check reads
+x-monomial coordinates; there the ordinary M_(1,2) in three variables
+passes, and in the cell basis it fails.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .compositions import Composition
 from .polynomial import (
     XYPolynomial,
     _cell_coordinates,
+    _x_coordinates,
     constant,
     one,
     x_var,
@@ -101,6 +111,17 @@ def cell_class(part: int, x_index: int) -> XYPolynomial:
     return result
 
 
+def _placement_sum(length: int, n_x: int, factor) -> XYPolynomial:
+    """sum over i_0 < ... < i_{length-1} in 1..n_x of prod factor(row, i_row)."""
+    total = zero()
+    for indices in itertools.combinations(range(1, n_x + 1), length):
+        piece = one()
+        for row, index in enumerate(indices):
+            piece = piece * factor(row, index)
+        total = total + piece
+    return total
+
+
 _double_monomial_cache: dict[tuple[tuple[int, ...], int], XYPolynomial] = {}
 
 
@@ -121,12 +142,9 @@ def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
     key = (alpha, ctx.n_x)
     cached = _double_monomial_cache.get(key)
     if cached is None:
-        cached = zero()
-        for indices in itertools.combinations(range(1, ctx.n_x + 1), len(alpha)):
-            piece = one()
-            for part, index in zip(alpha, indices):
-                piece = piece * cell_class(part, index)
-            cached = cached + piece
+        cached = _placement_sum(
+            len(alpha), ctx.n_x, lambda row, index: cell_class(alpha[row], index)
+        )
         _double_monomial_cache[key] = cached
     return cached
 
@@ -148,42 +166,47 @@ def _check_variables(p: XYPolynomial, ctx: TruncationContext) -> None:
             )
 
 
-def is_quasisymmetric(p: XYPolynomial, ctx: TruncationContext) -> bool:
-    """Whether restricting to any increasing window of x-variables gives
-    the same polynomial.
+def _placements(
+    coordinates: Mapping[tuple[int, ...], XYPolynomial], n_x: int
+) -> tuple[dict[Composition, dict[tuple[int, ...], XYPolynomial]], str | None]:
+    """Coordinates grouped as gamma -> placement -> coordinate, a key
+    (a_1, ..., a_n_x) placing its nonzero entries at their x-indices;
+    and a message naming the first gamma whose placements have two
+    coordinates or miss one, or None."""
+    by_parts: dict[tuple[int, ...], dict[tuple[int, ...], XYPolynomial]] = {}
+    for cell, coordinate in coordinates.items():
+        at = by_parts.setdefault(tuple(a for a in cell if a), {})
+        at[tuple(i for i, a in enumerate(cell, 1) if a)] = coordinate
+    found = {Composition._raw(parts): at for parts, at in by_parts.items()}
+    for gamma, at in found.items():
+        first = min(at)
+        value = at[first]
+        differing = [pl for pl, c in at.items() if c != value]
+        if differing:
+            return found, (
+                f"{gamma} has one coordinate at x-indices {first} and "
+                f"another at {min(differing)}; not quasisymmetric"
+            )
+        if len(at) < math.comb(n_x, len(gamma)):
+            placements = itertools.combinations(range(1, n_x + 1), len(gamma))
+            missing = next(pl for pl in placements if pl not in at)
+            return found, (
+                f"{gamma} has a coordinate at x-indices {first} but none "
+                f"at {missing}; not quasisymmetric"
+            )
+    return found, None
 
-    Restricting means substituting the basepoint value y_1 (or 0 when
-    the truncation has no y-variables) for every x-variable outside the
-    window and renumbering the survivors to x_1..x_k.  Every double
-    monomial restricts to its own smaller truncation regardless of the
-    window, because each row factor vanishes at x = y_1, so the check
-    passes on the whole Z[y]-span of double monomials.  The Lambda-
-    coefficient of x_{i_1}^{e_1}..x_{i_k}^{e_k} read in its own window
-    is then independent of the choice 1 <= i_1 < ... < i_k <= n_x.
-    """
+
+def is_quasisymmetric(p: XYPolynomial, ctx: TruncationContext) -> bool:
+    """Whether all placements of each composition carry one coordinate
+    in ``p``: cell coordinates when ctx has y-variables, x-monomial ones
+    when it has none (see the module docstring)."""
     _check_variables(p, ctx)
-    basepoint = y_var(1) if ctx.n_y >= 1 else zero()
-    for size in range(ctx.n_x):
-        reference = None
-        for window in itertools.combinations(range(1, ctx.n_x + 1), size):
-            outside = {
-                ("x", i): basepoint
-                for i in range(1, ctx.n_x + 1)
-                if i not in window
-            }
-            restricted = p.substitute(outside)
-            renumber = {
-                ("x", old): x_var(new)
-                for new, old in enumerate(window, start=1)
-                if old != new
-            }
-            if renumber:
-                restricted = restricted.substitute(renumber)
-            if reference is None:
-                reference = restricted
-            elif restricted != reference:
-                return False
-    return True
+    if ctx.n_y:
+        coordinates = _cell_coordinates(p, ctx.n_x)
+    else:
+        coordinates = _x_coordinates(p.terms, ctx.n_x)
+    return _placements(coordinates, ctx.n_x)[1] is None
 
 
 def qsym_generator(factors: Sequence[XYPolynomial], ctx: TruncationContext) -> XYPolynomial:
@@ -201,16 +224,11 @@ def qsym_generator(factors: Sequence[XYPolynomial], ctx: TruncationContext) -> X
         if f.x_degree_component(0):
             raise NotInMaximalIdeal("factor has a nonzero constant term")
 
-    def at_variable(f: XYPolynomial, index: int) -> XYPolynomial:
-        return f.substitute({("x", 1): x_var(index)})
-
-    total = zero()
-    for indices in itertools.combinations(range(1, ctx.n_x + 1), len(factors)):
-        piece = one()
-        for f, index in zip(factors, indices):
-            piece = piece * at_variable(f, index)
-        total = total + piece
-    return total
+    return _placement_sum(
+        len(factors),
+        ctx.n_x,
+        lambda row, index: factors[row].substitute({("x", 1): x_var(index)}),
+    )
 
 
 class Expansion:
@@ -326,12 +344,10 @@ def expand_in_M(p: XYPolynomial, ctx: TruncationContext) -> Expansion:
     """Write ``p`` as a Z[y]-combination of double monomial functions.
 
     Reads the expansion off the coordinates of ``p`` in the cell basis
-    prod_i phi_{a_i}(x_i): each cell's nonzero entries, in order, are a
-    composition gamma placed at the x-indices of those entries.  Since
-    the cell products form a Z[y]-basis and M_gamma is the sum of its
-    placements' cells, p = sum_gamma c_gamma * M_gamma holds exactly
-    when every placement of every gamma has the coordinate c_gamma.  So
-    the result is exact, and the expansion is unique.  Raises NotInSpan,
+    prod_i phi_{a_i}(x_i).  M_gamma is the sum of its placements'
+    cells, so p = sum_gamma c_gamma * M_gamma holds exactly when every
+    placement of every gamma has the coordinate c_gamma; the result is
+    exact, and the expansion is unique.  Raises NotInSpan,
     naming gamma and the offending placement, when a part of gamma
     exceeds ctx.n_y, when two placements of gamma have different
     coordinates, or when a placement of gamma has none; that happens
@@ -339,42 +355,16 @@ def expand_in_M(p: XYPolynomial, ctx: TruncationContext) -> Expansion:
     truncation is too small.
     """
     _check_variables(p, ctx)
-    found: dict[tuple[int, ...], dict[tuple[int, ...], XYPolynomial]] = {}
-    for cell, coordinate in _cell_coordinates(p, ctx.n_x).items():
-        parts = tuple(a for a in cell if a)
-        placement = tuple(i for i, a in enumerate(cell, 1) if a)
-        at = found.get(parts)
-        if at is None:
-            at = found[parts] = {}
-        at[placement] = coordinate
-    coeffs: dict[Composition, XYPolynomial] = {}
-    for parts, at in found.items():
-        gamma = Composition._raw(parts)
+    found, mismatch = _placements(_cell_coordinates(p, ctx.n_x), ctx.n_x)
+    for gamma, at in found.items():
         if gamma.max_part() > ctx.n_y:
             raise NotInSpan(
                 f"expansion needs {gamma}, placed at x-indices {min(at)}, "
                 f"outside the truncation {ctx!r}"
             )
-        value = next(iter(at.values()))
-        for other in at.values():
-            if other != value:
-                first = min(at)
-                differing = min(pl for pl, c in at.items() if c != at[first])
-                raise NotInSpan(
-                    f"{gamma} has one coordinate at x-indices {first} and "
-                    f"another at {differing}; not quasisymmetric"
-                )
-        if len(at) < math.comb(ctx.n_x, len(parts)):
-            missing = next(
-                placement
-                for placement in itertools.combinations(
-                    range(1, ctx.n_x + 1), len(parts)
-                )
-                if placement not in at
-            )
-            raise NotInSpan(
-                f"{gamma} has a coordinate at x-indices {min(at)} but none "
-                f"at {missing}; not quasisymmetric"
-            )
-        coeffs[gamma] = value
-    return Expansion._raw(coeffs)
+    if mismatch is not None:
+        raise NotInSpan(mismatch)
+    return Expansion._raw(
+        {gamma: next(iter(at.values())) for gamma, at in found.items()}
+    )
+

@@ -16,12 +16,11 @@ the product of two truncated double monomial functions equals its
 tableau expansion as an exact polynomial identity (see
 ``lrcalc.verify_expansion``), and it is the package default.  The two
 differ by (-1)**(number of edge labels) per tableau, and a tableau of
-shape c/a with content b has a + b - c edge labels.  So the product
-rule computes under ORACLE_CONSISTENT only, its merged rows given by
-``cp_product`` at the default convention, and ``lrcalc`` turns a
-coefficient paper-literal by one sign as it leaves the rule.  Single
-tableaux, ``row_weight_sum`` and ``cp_product`` still take either
-convention, so the per-tableau paper-literal weights stay available.
+shape c/a with content b has a + b - c edge labels.  So
+``row_weight_sum`` and ``cp_product``, and the product rule on them,
+are oracle-consistent only; ``lrcalc`` turns a coefficient
+paper-literal by one sign as it leaves the rule.  Single tableaux and
+skylines take either convention.
 
 A skyline stack assembles one row per part of an outcome composition
 gamma: row i has shape gamma_i / (part of alpha routed to i) and
@@ -131,34 +130,30 @@ def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTab
 
 
 @lru_cache(maxsize=None)
-def row_weight_sum(
-    outer: int, inner: int, content: int, convention: WeightConvention
-) -> XYPolynomial:
-    """Sum of weights over all tableaux of one shape and content,
-    accumulated in one terms dict rather than copied per tableau."""
+def row_weight_sum(outer: int, inner: int, content: int) -> XYPolynomial:
+    """Sum of the oracle-consistent weights of all tableaux of one shape
+    and content, added into one terms dict, not copied per tableau."""
     terms: dict[int, int] = {}
     for tableau in enumerate_tableaux(outer, inner, content):
-        _add_into(terms, tableau.weight(convention).terms)
+        _add_into(terms, tableau.weight(WeightConvention.ORACLE_CONSISTENT).terms)
     return XYPolynomial._raw(terms)
 
 
-def cp_product(
-    a: int, b: int, convention: WeightConvention = DEFAULT_CONVENTION
-) -> dict[int, XYPolynomial]:
+def cp_product(a: int, b: int) -> dict[int, XYPolynomial]:
     """Structure constants of one-variable cell classes.
 
     With chi_k = prod_{j=1}^{k} (x - y_j), the product chi_a * chi_b
     expands as sum over c of cp_product(a, b)[c] * chi_c, the
-    coefficient of c collecting the weights of all tableaux of shape
-    c/a and content b.  Under ORACLE_CONSISTENT this is an exact
-    polynomial identity.  Zero coefficients are omitted; the support
-    lies in [max(a, b), a + b].
+    coefficient of c collecting the oracle-consistent weights of all
+    tableaux of shape c/a and content b.  This is an exact polynomial
+    identity.  Zero coefficients are omitted; the support lies in
+    [max(a, b), a + b].
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
     out: dict[int, XYPolynomial] = {}
     for c in range(max(a, b), a + b + 1):
-        total = row_weight_sum(c, a, b, convention)
+        total = row_weight_sum(c, a, b)
         if total:
             out[c] = total
     return out

@@ -6,14 +6,16 @@ serialized records and evaluated with plain integer loops, or
 multiplied with the tuple-monomial kernel, so agreement with the
 library is a genuine two-route check rather than a tautology.  The
 routing oracles enumerate differently from the library's memoized walk
-(all injection pairs, or one recursive walk per path) but share its row
-weight sums and polynomial arithmetic, which the tests check on their
-own; they sum per-tableau weights in either convention, where the
-library computes oracle-consistent and signs at the end.  The support
-bounds and sweep oracles filter every composition within the bounds.
-The peeling expansion rewrites a polynomial in the M basis by
+(all injection pairs, or one recursive walk per path) and share its
+polynomial arithmetic, which the tests check on their own; each row
+sums its per-tableau weights in the requested convention itself, where
+the library sums oracle-consistent rows and signs at the end.  The
+support bounds and sweep oracles filter every composition within the
+bounds.  The peeling expansion rewrites a polynomial in the M basis by
 subtracting double monomials degree by degree, where the library reads
-the expansion off cell coordinates.
+the expansion off cell coordinates.  The window test restricts a
+polynomial to every window of x-variables by substitution, where the
+library compares the coordinates of placements.
 """
 
 import itertools
@@ -28,6 +30,8 @@ from dqsym.polynomial import (
     _width,
     _x_free_key,
     one,
+    x_var,
+    y_var,
     zero,
 )
 from dqsym.qsym import (
@@ -37,7 +41,7 @@ from dqsym.qsym import (
     _check_variables,
     double_monomial,
 )
-from dqsym.tableaux import DEFAULT_CONVENTION, row_weight_sum
+from dqsym.tableaux import DEFAULT_CONVENTION, enumerate_tableaux
 
 
 def eval_poly(p, xs: dict[int, int], ys: dict[int, int]) -> int:
@@ -171,7 +175,23 @@ def tuple_records(terms: dict) -> list[dict]:
 
 # Routing oracles: the structure coefficient and the overlapping shuffles
 # by their injection-pair definitions, and the product expansion by one
-# recursive walk per routing path, nothing shared between paths.
+# recursive walk per routing path, nothing shared between paths.  Row
+# sums are kept per (shape, content, convention) across the suite.
+
+_row_sums: dict = {}
+
+
+def tableau_row_sum(outer, inner, content, convention):
+    """The sum of ``weight(convention)`` over the tableaux of shape
+    outer/inner and content ``content``."""
+    key = (outer, inner, content, convention)
+    total = _row_sums.get(key)
+    if total is None:
+        total = zero()
+        for tableau in enumerate_tableaux(outer, inner, content):
+            total = total + tableau.weight(convention)
+        _row_sums[key] = total
+    return total
 
 
 def injection_structure_coefficient(alpha, beta, gamma, convention=DEFAULT_CONVENTION):
@@ -186,7 +206,7 @@ def injection_structure_coefficient(alpha, beta, gamma, convention=DEFAULT_CONVE
                 continue
             pair_total = one()
             for i in range(1, n + 1):
-                row_sum = row_weight_sum(
+                row_sum = tableau_row_sum(
                     gamma[i - 1],
                     iota.part_at(alpha, i),
                     jota.part_at(beta, i),
@@ -218,7 +238,7 @@ def recursive_product_expand(alpha, beta, convention=DEFAULT_CONVENTION):
         if k < la and m < lb:
             a, b = alpha[k], beta[m]
             for c in range(max(a, b), a + b + 1):
-                row_sum = row_weight_sum(c, a, b, convention)
+                row_sum = tableau_row_sum(c, a, b, convention)
                 if row_sum:
                     walk(k + 1, m + 1, parts + [c], weight * row_sum)
 
@@ -376,3 +396,45 @@ def peeling_expand_in_M(p, ctx):
             )
         degree = new_degree
     return Expansion(coeffs)
+
+
+# Quasisymmetry by restriction: compare the restrictions of a polynomial
+# to every increasing window of x-variables of each size.
+
+
+def window_is_quasisymmetric(p, ctx) -> bool:
+    """Whether restricting to any increasing window of x-variables gives
+    the same polynomial.
+
+    Restricting means substituting the basepoint value y_1 (or 0 when
+    the truncation has no y-variables) for every x-variable outside the
+    window and renumbering the survivors to x_1..x_k.  Every double
+    monomial restricts to its own smaller truncation regardless of the
+    window, because each row factor vanishes at x = y_1, so the check
+    passes on the whole Z[y]-span of double monomials.  The Lambda-
+    coefficient of x_{i_1}^{e_1}..x_{i_k}^{e_k} read in its own window
+    is then independent of the choice 1 <= i_1 < ... < i_k <= n_x.
+    """
+    _check_variables(p, ctx)
+    basepoint = y_var(1) if ctx.n_y >= 1 else zero()
+    for size in range(ctx.n_x):
+        reference = None
+        for window in itertools.combinations(range(1, ctx.n_x + 1), size):
+            outside = {
+                ("x", i): basepoint
+                for i in range(1, ctx.n_x + 1)
+                if i not in window
+            }
+            restricted = p.substitute(outside)
+            renumber = {
+                ("x", old): x_var(new)
+                for new, old in enumerate(window, start=1)
+                if old != new
+            }
+            if renumber:
+                restricted = restricted.substitute(renumber)
+            if reference is None:
+                reference = restricted
+            elif restricted != reference:
+                return False
+    return True

@@ -71,6 +71,23 @@ class TestCanonicalForm:
             for var in (x_var, y_var):
                 with pytest.raises(ValueError, match="index must be a positive integer"):
                     var(bad)
+        integers = "variable indices and exponents must be integers"
+        for bad in (True, False):
+            for pairs in ([(bad, 1)], [(1, bad)]):
+                with pytest.raises(ValueError, match=integers):
+                    Monomial.make(x=pairs)
+                with pytest.raises(ValueError, match=integers):
+                    Monomial.make(y=dict(pairs))
+                with pytest.raises(ValueError, match=integers):
+                    XYPolynomial({Monomial(x=tuple(pairs)): 1})
+                with pytest.raises(ValueError, match=integers):
+                    XYPolynomial.from_records(
+                        [{"coeff": "1", "x": [list(pair) for pair in pairs], "y": []}]
+                    )
+            with pytest.raises(ValueError, match="bad variable"):
+                x_var(1).substitute({("x", bad): 2})
+            with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+                x_var(1) ** bad
         # the operators still read a bool operand as its int
         assert one() == True and zero() == False
         assert (x_var(1) + True).to_records()[1] == {"coeff": "1", "x": [], "y": []}

@@ -39,6 +39,7 @@ from oracles import (
     peeling_expand_in_M,
     poly_x_terms,
     sample_points,
+    window_is_quasisymmetric,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
@@ -145,6 +146,48 @@ class TestIsQuasisymmetric:
     def test_out_of_context_variables_rejected(self):
         with pytest.raises(ValueError):
             is_quasisymmetric(x_var(3), TruncationContext(2, 0))
+
+    def test_basis_follows_the_basepoint(self):
+        # the ordinary M_(1,2) in three variables: its monomials restrict
+        # cleanly at the basepoint 0, its cells do not at y_1
+        p = monomial_qsym(Composition([1, 2]), TruncationContext(3, 2))
+        assert is_quasisymmetric(p, TruncationContext(3, 0))
+        assert not is_quasisymmetric(p, TruncationContext(3, 2))
+
+    @PROPERTY
+    @given(st.integers(0, 2**32))
+    def test_agrees_with_windows(self, seed):
+        p, ctx = seeded_quasisymmetry_case(seed)
+        assert is_quasisymmetric(p, ctx) == window_is_quasisymmetric(p, ctx)
+
+
+def seeded_quasisymmetry_case(seed: int):
+    """A seeded polynomial in a truncation with n_x <= 4 and n_y <= 3: a
+    Z[y]-combination of double monomials, or of ordinary monomial
+    functions when n_y = 0, and for about half the seeds an x-monomial
+    added."""
+    rng = random.Random(seed)
+    n_x, n_y = rng.randint(0, 4), rng.randint(0, 3)
+    ctx = TruncationContext(n_x, n_y)
+    p = zero()
+    for _ in range(rng.randint(0, 3)):
+        alpha = Composition(
+            rng.randint(1, n_y or 3) for _ in range(rng.randint(0, n_x))
+        )
+        coefficient = constant(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 2) if n_y else 0):
+            coefficient = coefficient + rng.randint(-3, 3) * y_var(rng.randint(1, n_y))
+        if n_y:
+            basis = double_monomial(alpha, ctx)
+        else:
+            basis = monomial_qsym(alpha, TruncationContext(n_x, alpha.max_part()))
+        p = p + coefficient * basis
+    if rng.random() < 0.5:
+        term = constant(rng.choice([-2, -1, 1, 2]))
+        for i in range(1, n_x + 1):
+            term = term * x_var(i) ** rng.randint(0, 2)
+        p = p + term
+    return p, ctx
 
 
 class TestQsymGenerator:
