@@ -21,6 +21,7 @@ library compares the coordinates of placements.
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 from dqsym.compositions import Composition, enumerate_compositions, enumerate_injections
 from dqsym.polynomial import (
@@ -178,20 +179,13 @@ def tuple_records(terms: dict) -> list[dict]:
 # recursive walk per routing path, nothing shared between paths.  Row
 # sums are kept per (shape, content, convention) across the suite.
 
-_row_sums: dict = {}
 
-
+@lru_cache(maxsize=None)
 def tableau_row_sum(outer, inner, content, convention):
     """The sum of ``weight(convention)`` over the tableaux of shape
     outer/inner and content ``content``."""
-    key = (outer, inner, content, convention)
-    total = _row_sums.get(key)
-    if total is None:
-        total = zero()
-        for tableau in enumerate_tableaux(outer, inner, content):
-            total = total + tableau.weight(convention)
-        _row_sums[key] = total
-    return total
+    tableaux = enumerate_tableaux(outer, inner, content)
+    return sum((t.weight(convention) for t in tableaux), zero())
 
 
 def injection_structure_coefficient(alpha, beta, gamma, convention=DEFAULT_CONVENTION):
