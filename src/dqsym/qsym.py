@@ -198,9 +198,11 @@ def _placements(
 
 
 def is_quasisymmetric(p: XYPolynomial, ctx: TruncationContext) -> bool:
-    """Whether all placements of each composition carry one coordinate
-    in ``p``: cell coordinates when ctx has y-variables, x-monomial ones
-    when it has none (see the module docstring)."""
+    """Whether restricting ``p`` to any window of x-variables, the rest
+    set to the basepoint, gives one polynomial.  The basepoint y_1 kills
+    phi_a(x_i) for a >= 1, so this reads cell coordinates; with no
+    y-variables it is 0, which kills x_i^a, so it reads x-monomial ones.
+    Either way each gamma's placements must share one coordinate."""
     _check_variables(p, ctx)
     if ctx.n_y:
         coordinates = _cell_coordinates(p, ctx.n_x)
