@@ -9,13 +9,15 @@ Compositions are written as comma-separated positive integers, the
 empty string standing for the empty composition.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on usage errors and bad input:
 any ``ValueError`` from the library ends the command with a one-line
-message on stderr.
+message on stderr; 141 (128 + SIGPIPE) when the reader closes stdout
+early, as ``head`` does, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -423,7 +425,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what stdout still buffers to devnull,
+        # so that the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         # bad input: parse errors, negative bounds, truncations too small,
         # polynomials outside the span, degrees past the packed limit

@@ -310,30 +310,28 @@ def routing_outcomes(
                                 if at < 0 or target[at] != part:
                                     continue
                             key = (part,) + suffix
+                            if weight is not None:
+                                v = value.terms
+                                if check and v:
+                                    _check_degree(size - part - sum(suffix))
                             old = table.get(key)
-                            if weight is None:
-                                if old is None:
-                                    table[key] = value
-                                elif old.__class__ is dict:
-                                    _add_into(old, value.terms)
-                                else:
-                                    table[key] = terms = dict(old.terms)
-                                    _add_into(terms, value.terms)
-                                continue
-                            v = value.terms
-                            if check and v:
-                                _check_degree(size - part - sum(suffix))
                             if old is None:
-                                # a unit value shares the weight, as * does
-                                if v == _UNIT_TERMS:
+                                # stored as it is; a unit value shares the
+                                # weight, as * does
+                                if weight is None:
+                                    table[key] = value
+                                elif v == _UNIT_TERMS:
                                     table[key] = weight
                                 else:
                                     table[key] = _mul_terms(w, v)
-                            elif old.__class__ is dict:
-                                _mul_into(old, w, v)
+                                continue
+                            if old.__class__ is not dict:
+                                # a shared value is copied once
+                                table[key] = old = dict(old.terms)
+                            if weight is None:
+                                _add_into(old, value.terms)
                             else:
-                                table[key] = terms = dict(old.terms)
-                                _mul_into(terms, w, v)
+                                _mul_into(old, w, v)
                     for key, value in table.items():
                         if value.__class__ is dict:
                             table[key] = XYPolynomial._raw(value)

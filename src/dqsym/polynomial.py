@@ -30,12 +30,9 @@ Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
 Products, powers and every construction from ``Monomial`` keys or
 records check the degree first and raise ``ValueError`` above the
-limit; a field never wraps.  A polynomial's total degree is found at
-most once and kept.  A product carries the sum of its factors'
-degrees, which is exact because Z[x; y] is an integral domain: the
-top-degree parts of two nonzero factors multiply to a nonzero form.
-A sum can cancel its top terms, so it finds its degree by one scan of
-its terms, and only when a product first asks for it.
+limit; a field never wraps.  A product scans both factors for their
+largest total degree and checks the sum; a polynomial carries no
+degree of its own.
 
 Terms dicts.  The routing walk (``compositions.routing_outcomes``)
 sums and multiplies on terms dicts, not on polynomials, and wraps
@@ -241,11 +238,9 @@ def _x_free_key(key: int, y_mask: int) -> int:
 class XYPolynomial:
     """Integer polynomial in the x- and y-variables, in canonical form."""
 
-    __slots__ = ("terms", "_degree", "_hash")
+    __slots__ = ("terms", "_hash")
 
     terms: dict[int, int]
-    # the total degree once known, else None; see _total_degree
-    _degree: int | None
     # the hash once found; unset until then, so _raw never touches it
     _hash: int
 
@@ -264,28 +259,16 @@ class XYPolynomial:
                     )
                     cleaned[key] = coefficient
         _set_terms(self, cleaned)
-        _set_degree(self, None)
 
     @classmethod
-    def _raw(cls, terms: dict[int, int], degree: int | None = None) -> XYPolynomial:
-        # trusted constructor: terms already canonical, never shared
-        # mutably, and ``degree`` their total degree when given
+    def _raw(cls, terms: dict[int, int]) -> XYPolynomial:
+        # trusted constructor: terms already canonical, never shared mutably
         p = object.__new__(cls)
         _set_terms(p, terms)
-        _set_degree(p, degree)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("XYPolynomial is immutable")
-
-    def _total_degree(self) -> int:
-        """The largest total degree of a term, found by one scan and kept;
-        -1 for the zero polynomial."""
-        degree = self._degree
-        if degree is None:
-            degree = max((key & 255 for key in self.terms), default=-1)
-            _set_degree(self, degree)
-        return degree
 
     # ------------------------------------------------------------------
     # ring structure
@@ -314,7 +297,7 @@ class XYPolynomial:
             return h
 
     def __neg__(self) -> XYPolynomial:
-        return XYPolynomial._raw({k: -c for k, c in self.terms.items()}, self._degree)
+        return XYPolynomial._raw({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other) -> XYPolynomial:
         if isinstance(other, int):
@@ -344,13 +327,7 @@ class XYPolynomial:
         """The product; a unit factor returns the other one unchanged,
         and a one-term factor shifts the other's keys without merging."""
         if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            if other == 1:
-                return self
-            return XYPolynomial._raw(
-                {k: other * c for k, c in self.terms.items()}, self._degree
-            )
+            other = constant(int(other))
         if not isinstance(other, XYPolynomial):
             return NotImplemented
         a, b = self.terms, other.terms
@@ -360,9 +337,8 @@ class XYPolynomial:
             return self
         if not a or not b:
             return _ZERO
-        degree = self._total_degree() + other._total_degree()
-        _check_degree(degree)
-        return XYPolynomial._raw(_mul_terms(a, b), degree)
+        _check_degree(max(k & 255 for k in a) + max(k & 255 for k in b))
+        return XYPolynomial._raw(_mul_terms(a, b))
 
     __rmul__ = __mul__
 
@@ -429,34 +405,31 @@ class XYPolynomial:
             if kind not in ("x", "y") or bad_index:
                 raise ValueError(f"bad variable {var!r}")
             values[var] = constant(value) if isinstance(value, int) else value
-        powers: dict[tuple[Variable, int], XYPolynomial] = {}
-
-        def power(var: Variable, exponent: int) -> XYPolynomial:
-            cached = powers.get((var, exponent))
-            if cached is None:
-                cached = values[var] ** exponent
-                powers[(var, exponent)] = cached
-            return cached
-
+        # (shift of its exponent byte, the key of its first power, value)
+        # per replaced variable, x-variables first and each family by
+        # index; the key of x_i is 1 at its byte, the total degree and
+        # the x-degree, that of y_j 1 at its byte and the total degree
+        replaced = []
+        for (kind, index), value in sorted(values.items()):
+            if kind == "x":
+                replaced.append((16 * index, 1 << 16 * index | 1 << 8 | 1, value))
+            else:
+                replaced.append((16 * index + 8, 1 << 16 * index + 8 | 1, value))
+        powers: dict[tuple[int, int], XYPolynomial] = {}
         total: dict[int, int] = {}
         for key, coefficient in self.terms.items():
-            monomial = _monomial(*_fields(key, _width((key,))))
-            kept_x = []
-            kept_y = []
-            replaced: list[tuple[Variable, int]] = []
-            for index, exponent in monomial.x:
-                if ("x", index) in values:
-                    replaced.append((("x", index), exponent))
-                else:
-                    kept_x.append((index, exponent))
-            for index, exponent in monomial.y:
-                if ("y", index) in values:
-                    replaced.append((("y", index), exponent))
-                else:
-                    kept_y.append((index, exponent))
-            piece = XYPolynomial._raw({_pack(tuple(kept_x), tuple(kept_y)): coefficient})
-            for var, exponent in replaced:
-                piece = piece * power(var, exponent)
+            factors = []
+            for shift, step, value in replaced:
+                e = key >> shift & 255
+                if e:
+                    key -= e * step
+                    factors.append((shift, e, value))
+            piece = XYPolynomial._raw({key: coefficient})
+            for shift, e, value in factors:
+                power = powers.get((shift, e))
+                if power is None:
+                    power = powers[shift, e] = value ** e
+                piece = piece * power
                 if not piece:
                     break
             _add_into(total, piece.terms)
@@ -541,7 +514,6 @@ class XYPolynomial:
 # the slots' own setters, past the immutability guard of __setattr__;
 # faster than object.__setattr__ on the hot path of _raw
 _set_terms = XYPolynomial.terms.__set__
-_set_degree = XYPolynomial._degree.__set__
 _set_hash = XYPolynomial._hash.__set__
 
 

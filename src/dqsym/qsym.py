@@ -122,6 +122,13 @@ def _placement_sum(length: int, n_x: int, factor) -> XYPolynomial:
     return total
 
 
+def _check_length(alpha: Composition, ctx: TruncationContext) -> None:
+    if len(alpha) > ctx.n_x:
+        raise TruncationTooSmall(
+            f"composition {alpha} needs {len(alpha)} x-variables, have {ctx.n_x}"
+        )
+
+
 _double_monomial_cache: dict[tuple[tuple[int, ...], int], XYPolynomial] = {}
 
 
@@ -131,10 +138,7 @@ def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
     Raises TruncationTooSmall unless len(alpha) <= ctx.n_x and every
     part is at most ctx.n_y.  The empty composition gives 1.
     """
-    if len(alpha) > ctx.n_x:
-        raise TruncationTooSmall(
-            f"composition {alpha} needs {len(alpha)} x-variables, have {ctx.n_x}"
-        )
+    _check_length(alpha, ctx)
     if alpha.max_part() > ctx.n_y:
         raise TruncationTooSmall(
             f"composition {alpha} needs {alpha.max_part()} y-variables, have {ctx.n_y}"
@@ -150,11 +154,15 @@ def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
 
 
 def monomial_qsym(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
-    """The ordinary monomial quasisymmetric polynomial: y set to 0."""
-    doubled = double_monomial(alpha, ctx)
-    return doubled.substitute(
-        {var: 0 for var in doubled.variables() if var[0] == "y"}
-    )
+    """The ordinary monomial quasisymmetric polynomial, sum over
+    i_1 < ... < i_k of x_{i_1}^{a_1} ... x_{i_k}^{a_k}: the double
+    monomial function with y set to 0.
+
+    Raises TruncationTooSmall unless len(alpha) <= ctx.n_x; ctx.n_y is
+    not used.
+    """
+    _check_length(alpha, ctx)
+    return _placement_sum(len(alpha), ctx.n_x, lambda row, i: x_var(i) ** alpha[row])
 
 
 def _check_variables(p: XYPolynomial, ctx: TruncationContext) -> None:

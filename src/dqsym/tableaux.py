@@ -49,6 +49,11 @@ class WeightConvention(enum.Enum):
 DEFAULT_CONVENTION = WeightConvention.ORACLE_CONSISTENT
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return type(value) is not bool and isinstance(value, int)
+
+
 @dataclass(frozen=True)
 class SkewEdgeTableau:
     """One row of ``outer`` boxes, the leftmost ``inner`` of them empty."""
@@ -59,10 +64,10 @@ class SkewEdgeTableau:
 
     def __post_init__(self):
         object.__setattr__(self, "edge_labels", frozenset(self.edge_labels))
-        if not 0 <= self.inner <= self.outer:
+        if not (_is_int(self.outer) and _is_int(self.inner) and 0 <= self.inner <= self.outer):
             raise ValueError(f"need 0 <= inner <= outer, got {self.outer}/{self.inner}")
         for position in self.edge_labels:
-            if not isinstance(position, int) or not 1 <= position <= self.inner:
+            if not _is_int(position) or not 1 <= position <= self.inner:
                 raise ValueError(
                     f"edge labels must lie in [1, {self.inner}], got {position!r}"
                 )
@@ -116,7 +121,7 @@ def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTab
     <= inner + content, and 0 otherwise (including inner > outer, where
     the shape itself is empty).  Edge sets are listed lexicographically.
     """
-    if outer < 0 or inner < 0 or content < 0:
+    if not all(_is_int(v) and v >= 0 for v in (outer, inner, content)):
         raise ValueError("outer, inner, and content must be >= 0")
     if inner > outer:
         return []

@@ -302,7 +302,7 @@ def subtract_product(terms: dict[int, int], a: XYPolynomial, b: XYPolynomial) ->
     """terms -= a * b in place, on packed terms, without building a * b."""
     if not a.terms or not b.terms:
         return
-    _check_degree(a._total_degree() + b._total_degree())
+    _check_degree(max(k & 255 for k in a.terms) + max(k & 255 for k in b.terms))
     a, b = a.terms, b.terms
     if len(a) > len(b):
         a, b = b, a

@@ -1,6 +1,10 @@
 """Command-line interface: parsing, rendering, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +273,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_closed_stdout(self):
+        # a reader that stops after one line, as `head -1` does
+        argv = ["table", "--max-size", "6", "--max-length", "3", "--format", "json"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "dqsym.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+        ) as child:
+            assert child.stdout.readline().startswith(b'{"alpha": [], "beta": []')
+            child.stdout.close()
+            _, err = child.communicate(timeout=120)
+        assert child.returncode == 141
+        assert err == b""
 
     def test_explicit_zeros_only_on_tables(self):
         # only product and table print whole coefficient tables

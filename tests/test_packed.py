@@ -18,9 +18,10 @@ from dqsym.polynomial import (
     zero,
 )
 
-from oracles import subtract_product, tuple_product, tuple_records, tuple_sum
+from oracles import eval_poly, subtract_product, tuple_product, tuple_records, tuple_sum
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+SUBSTITUTE = settings(derandomize=True, max_examples=250, deadline=None)
 
 exponent_pairs = st.dictionaries(
     st.integers(1, 30), st.integers(1, 4), max_size=4
@@ -176,7 +177,7 @@ class TestTermsHelpers:
 
 
 class TestShortcutProducts:
-    """The unit and one-term shortcuts of ``*``, and carried degrees."""
+    """The unit and one-term shortcuts of ``*``, and int operands."""
 
     @PROPERTY
     @given(st.one_of(units, single_terms), term_maps, st.booleans())
@@ -185,12 +186,15 @@ class TestShortcutProducts:
         product = build(a) * build(b)
         assert product.to_records() == tuple_records(tuple_product(a, b))
 
-    @PROPERTY
-    @given(term_maps, term_maps)
-    def test_carried_degree_matches_a_scan(self, a, b):
-        product = build(a) * build(b)
-        if product:
-            assert product._total_degree() == max(k & 255 for k in product.terms)
+    @pytest.mark.parametrize("n", [0, 1, -3, True])
+    def test_int_operand_on_either_side(self, n):
+        p = x_var(1) ** MAX_DEGREE - 2 * y_var(3)
+        scaled = {k: int(n) * c for k, c in p.terms.items() if n}
+        assert (p * n).terms == (n * p).terms == scaled
+        if n == 1:
+            assert p * n is p and n * p is p
+        if n == 0:
+            assert p * n is zero() and n * p is zero()
 
     def test_unit_returns_the_other_factor(self):
         p = x_var(1) - y_var(2)
@@ -261,3 +265,45 @@ class TestDegreeLimit:
         top = x_var(1) ** MAX_DEGREE
         assert (top * constant(3)) == 3 * top
         assert (top + 1) - top == one()
+
+
+# substitution: p of degree <= 18 in x_1..x_4, y_1..y_4, values of
+# degree <= 8, so every result stays far below MAX_DEGREE
+small_pairs = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+tiny_pairs = st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=2).map(
+    lambda d: tuple(sorted(d.items()))
+)
+small_terms = st.dictionaries(
+    st.tuples(small_pairs, small_pairs), st.integers(-3, 3).filter(bool), max_size=5
+)
+values = st.one_of(
+    st.integers(-2, 2),
+    st.dictionaries(
+        st.tuples(tiny_pairs, tiny_pairs), st.integers(-3, 3).filter(bool), max_size=3
+    ).map(build),
+)
+assignments = st.dictionaries(
+    st.tuples(st.sampled_from("xy"), st.integers(1, 4)), values, max_size=4
+)
+points = st.lists(st.integers(-4, 4), min_size=4, max_size=4).map(
+    lambda v: dict(enumerate(v, 1))
+)
+
+
+class TestSubstituteOnPackedKeys:
+    @SUBSTITUTE
+    @given(small_terms, assignments, points, points)
+    def test_evaluation_commutes_with_substitution(self, a, assignment, xs, ys):
+        p = build(a)
+        q = p.substitute(assignment)
+        moved = {"x": dict(xs), "y": dict(ys)}
+        for (kind, index), value in assignment.items():
+            if not isinstance(value, int):
+                value = eval_poly(value, xs, ys)
+            moved[kind][index] = value
+        assert eval_poly(q, xs, ys) == eval_poly(p, moved["x"], moved["y"])
+        # every key is canonical, its degree bytes included: the records,
+        # which carry exponents only, rebuild the same packed terms
+        assert XYPolynomial.from_records(q.to_records()) == q

@@ -107,14 +107,26 @@ class TestMonomialQsym:
         assert monomial_qsym(Composition([2, 1]), TruncationContext(3, 2)) == expected
 
     def test_matches_brute_force(self):
-        for alpha in enumerate_compositions(2, 3):
-            p = monomial_qsym(alpha, TruncationContext(4, 3))
-            expected = brute_monomial_qsym_terms(alpha, 4)
-            assert poly_x_terms(p) == expected
+        # n_y = 0 too: the result has no y-variable, so it needs none
+        for n_y in (0, 3):
+            for alpha in enumerate_compositions(2, 3):
+                p = monomial_qsym(alpha, TruncationContext(4, n_y))
+                expected = brute_monomial_qsym_terms(alpha, 4)
+                assert poly_x_terms(p) == expected
+        assert monomial_qsym(Composition([1, 2]), TruncationContext(3, 0)) == (
+            x_var(1) * x_var(2) ** 2 + x_var(1) * x_var(3) ** 2 + x_var(2) * x_var(3) ** 2
+        )
+
+    def test_too_few_x_variables(self):
+        with pytest.raises(TruncationTooSmall, match="needs 3 x-variables, have 2"):
+            monomial_qsym(Composition([1, 1, 1]), TruncationContext(2, 0))
 
     def test_is_y_to_zero_of_double(self):
-        for alpha in [Composition([5]), Composition([2, 3]), Composition([1, 1, 1, 1, 1])]:
-            ctx = TruncationContext(len(alpha) + 1, 5)
+        # wherever the double monomial exists, with n_y >= max part
+        cases = [(alpha, n_x) for n_x in range(5) for alpha in enumerate_compositions(n_x, 3)]
+        cases += [(Composition(p), 6) for p in ([5], [2, 3], [1, 1, 1, 1, 1])]
+        for alpha, n_x in cases:
+            ctx = TruncationContext(n_x, alpha.max_part())
             doubled = double_monomial(alpha, ctx)
             killed = doubled.substitute(
                 {v: 0 for v in doubled.variables() if v[0] == "y"}

@@ -31,6 +31,10 @@ class TestSkewEdgeTableau:
             SkewEdgeTableau(4, 2, frozenset({3}))
         with pytest.raises(ValueError):
             SkewEdgeTableau(4, 2, frozenset({0}))
+        # bool and non-integer sizes and labels
+        for bad in ((3, 2, {True}), (3, 2, {1.0}), (True, 1, ()), (2.0, 1, ()), (2, 1.0, ())):
+            with pytest.raises(ValueError, match="need 0 <= inner|edge labels must lie"):
+                SkewEdgeTableau(bad[0], bad[1], frozenset(bad[2]))
         tableau = SkewEdgeTableau(4, 2, [2, 1])
         assert tableau.edge_labels == frozenset({1, 2})
 
@@ -117,6 +121,9 @@ class TestEnumerateTableaux:
             enumerate_tableaux(-1, 0, 0)
         with pytest.raises(ValueError):
             enumerate_tableaux(2, 1, -1)
+        for bad in ((True, 1, 1), (2, False, 1), (2, 1, True), (2.0, 1, 1), (2, 1, 1.0)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                enumerate_tableaux(*bad)
 
     def test_count_formula(self):
         for c, a, b in itertools.product(range(7), repeat=3):
