@@ -23,13 +23,20 @@ it uses.  The PAPER_LITERAL coefficient is the oracle-consistent one
 times (-1)**(|alpha| + |beta| - |gamma|); that sign is applied where a
 coefficient leaves the walk.
 
-``verify_expansion`` certifies a coefficient table against exact
-polynomial arithmetic in a sufficient truncation, by one route: it
-re-derives the table from the expanded product with
-``qsym.expand_in_M``.  That route implies the product identity itself,
-because ``expand_in_M`` reads the expansion off the product's exact
-coordinates in a Z[y]-basis, and returns only when those coordinates
-are exactly the ones of the sum it reports.
+``verify_expansion`` certifies a table in Z[x_1..x_n; y],
+n = len(alpha) + len(beta), with no polynomial in two x-variables.  Over
+placements S, M_alpha = sum_S prod_i phi_{a_i}(x_i), a_i = 0 off S and
+phi_0 = 1, so the product is a sum over placement pairs of factors
+phi_{a_i}(x_i) * phi_{b_i}(x_i), one per x-variable.  In one variable
+phi_a * phi_b = sum_c e(a, b)_c * phi_c exactly, and e(a, b) is read off
+that product, not taken from ``cp_product``.  So the product's
+coordinate at the cell prod_i phi_{c_i}(x_i) sums prod_i e(a_i, b_i)_{c_i}
+over placement pairs.  The cells are a Z[y]-basis (phi_c is monic of
+degree c) in which M_gamma has coordinate 1 at each placement of gamma
+and 0 elsewhere, and coordinates are unique: the identity holds in
+Z[x_1..x_n; y] exactly when every placement of every gamma carries
+c_gamma and no other cell is nonzero.  Nothing is claimed for more
+x-variables than n.
 """
 
 from __future__ import annotations
@@ -42,20 +49,14 @@ from .compositions import (
     enumerate_injections,
     routing_outcomes,
 )
-from .qsym import (
-    Expansion,
-    NotInSpan,
-    TruncationContext,
-    double_monomial,
-    expand_in_M,
-)
+from .qsym import Expansion, _placements, cell_class
 from .tableaux import (
     DEFAULT_CONVENTION,
     WeightConvention,
     cp_product,
     enumerate_skylines,
 )
-from .polynomial import XYPolynomial, zero
+from .polynomial import XYPolynomial, _cell_coordinates, _check_degree, _mul_into, zero
 
 
 class StructureCoefficient(NamedTuple):
@@ -199,30 +200,48 @@ def product_expand(
     )
 
 
+def _product_cells(alpha: Composition, beta: Composition) -> dict:
+    """The nonzero cell coordinates of M_alpha * M_beta, keyed by
+    (c_1, ..., c_n).  A state (k, m, cell prefix) has placed alpha[:k]
+    and beta[:m]; the next position takes nothing, alpha[k], beta[m] or
+    both, with each c of e(a, b), while the remaining parts still fit.
+    A step adds a + b - c <= min(a, b) to the degree, so one check of
+    the limit covers the walk."""
+    _check_degree(min(alpha.size(), beta.size()))
+    e = {}
+    for a in {0, *alpha}:
+        for b in {0, *beta}:
+            p = cell_class(a, 1) * cell_class(b, 1)
+            e[a, b] = [(c, v.terms) for (c,), v in _cell_coordinates(p, 1).items()]
+    la, lb = len(alpha), len(beta)
+    states = {(0, 0, ()): {0: 1}}
+    for left in range(la + lb - 1, -1, -1):
+        walked = {}
+        for (k, m, prefix), terms in states.items():
+            for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
+                if la - left <= k2 <= la and lb - left <= m2 <= lb:
+                    ab = (alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0)
+                    for c, coordinate in e[ab]:
+                        out = walked.setdefault((k2, m2, prefix + (c,)), {})
+                        _mul_into(out, terms, coordinate)
+        states = walked
+    return {cell: XYPolynomial._raw(t) for (_, _, cell), t in states.items() if t}
+
+
 def verify_expansion(
     alpha: Composition,
     beta: Composition,
     convention: WeightConvention = DEFAULT_CONVENTION,
 ) -> bool:
-    """Certify the coefficient table for one product.
-
-    Works in the sufficient truncation of
-    ``TruncationContext.for_product``: expands M_alpha * M_beta exactly
-    and checks that ``expand_in_M`` of it reproduces the table.  This
-    implies the identity M_alpha * M_beta = sum_gamma c_gamma * M_gamma:
-    ``expand_in_M`` returns only when the product's coordinates in the
-    cell basis prod_i phi_{a_i}(x_i) equal those of the sum it reports,
-    c_gamma at every placement of every gamma and 0 at every other
-    cell, and equal coordinates in a basis mean equal polynomials.
-    False when the tables differ or the product is not in the span.
-    """
-    ctx = TruncationContext.for_product(alpha, beta)
-    product = double_monomial(alpha, ctx) * double_monomial(beta, ctx)
-    expansion = product_expand(alpha, beta, convention)
-    try:
-        return expand_in_M(product, ctx) == expansion
-    except NotInSpan:
+    """Whether M_alpha * M_beta = sum_gamma c_gamma * M_gamma holds in
+    Z[x_1..x_n; y], n = len(alpha) + len(beta), for the table of
+    ``product_expand``: each gamma's placements among the cells of
+    ``_product_cells`` carry one coordinate (``qsym._placements``), c_gamma."""
+    found, mismatch = _placements(_product_cells(alpha, beta), len(alpha) + len(beta))
+    if mismatch is not None:
         return False
+    coordinates = {gamma: next(iter(at.values())) for gamma, at in found.items()}
+    return coordinates == product_expand(alpha, beta, convention).coeffs
 
 
 def expansion_records(

@@ -34,14 +34,14 @@ limit; a field never wraps.  A product scans both factors for their
 largest total degree and checks the sum; a polynomial carries no
 degree of its own.
 
-Terms dicts.  The routing walk (``compositions.routing_outcomes``)
-sums and multiplies on terms dicts, not on polynomials, and wraps
-each dict it builds once.  ``_add_into(out, a)`` adds ``a`` into
-``out`` in place; ``_mul_terms(a, b)`` returns a * b as a new dict,
-shifting keys for a one-term factor as ``*`` does; ``_mul_into(out,
-a, b)`` adds a * b into ``out`` in place.  The two in-place helpers
-drop the keys that cancel.  None of them checks the degree limit: a
-caller checks it first, as ``*`` does.
+Terms dicts.  The routing walk (``compositions.routing_outcomes``) and
+the certifier's cell walk (``lrcalc._product_cells``) sum and multiply
+on terms dicts, not on polynomials.  ``_add_into(out, a)`` adds ``a``
+into ``out`` in place; ``_mul_terms(a, b)`` returns a * b as a new
+dict, shifting keys for a one-term factor as ``*`` does;
+``_mul_into(out, a, b)`` adds a * b into ``out`` in place.  The two
+in-place helpers drop the keys that cancel.  None of them checks the
+degree limit: a caller checks it first, as ``*`` does.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
@@ -396,7 +396,8 @@ class XYPolynomial:
 
         Variables absent from ``assignment`` are left alone.  The
         substitution is simultaneous: replacement values are never
-        re-substituted.
+        re-substituted.  A value that is not an int or polynomial, or
+        is a bool, raises ``ValueError``, whether its variable is used.
         """
         values: dict[Variable, XYPolynomial] = {}
         for var, value in assignment.items():
@@ -404,6 +405,8 @@ class XYPolynomial:
             bad_index = type(index) is bool or not isinstance(index, int) or index < 1
             if kind not in ("x", "y") or bad_index:
                 raise ValueError(f"bad variable {var!r}")
+            if type(value) is bool or not isinstance(value, (int, XYPolynomial)):
+                raise ValueError(f"bad value {value!r} for variable {var!r}")
             values[var] = constant(value) if isinstance(value, int) else value
         # (shift of its exponent byte, the key of its first power, value)
         # per replaced variable, x-variables first and each family by

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .compositions import Composition
@@ -77,17 +76,6 @@ class TruncationContext:
     def __setattr__(self, name, value):
         raise AttributeError("TruncationContext is immutable")
 
-    @classmethod
-    def for_product(cls, alpha: Composition, beta: Composition) -> TruncationContext:
-        """A truncation large enough to certify the product expansion.
-
-        len(alpha) + len(beta) x-variables keep the double monomials of
-        every composition in the product's support independent, and
-        |alpha| + |beta| + 1 y-variables cover every y-index a structure
-        coefficient can mention.
-        """
-        return cls(len(alpha) + len(beta), alpha.size() + beta.size() + 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncationContext):
             return NotImplemented
@@ -100,7 +88,6 @@ class TruncationContext:
         return f"TruncationContext(n_x={self.n_x}, n_y={self.n_y})"
 
 
-@lru_cache(maxsize=None)
 def cell_class(part: int, x_index: int) -> XYPolynomial:
     """prod_{j=1}^{part} (x_{x_index} - y_j), the factor one row contributes."""
     if part < 0 or x_index < 1:
@@ -112,12 +99,14 @@ def cell_class(part: int, x_index: int) -> XYPolynomial:
 
 
 def _placement_sum(length: int, n_x: int, factor) -> XYPolynomial:
-    """sum over i_0 < ... < i_{length-1} in 1..n_x of prod factor(row, i_row)."""
+    """sum over i_0 < ... < i_{length-1} in 1..n_x of prod factor(row, i_row),
+    calling ``factor`` once per (row, index)."""
+    table = [[factor(row, i) for i in range(1, n_x + 1)] for row in range(length)]
     total = zero()
-    for indices in itertools.combinations(range(1, n_x + 1), length):
+    for indices in itertools.combinations(range(n_x), length):
         piece = one()
         for row, index in enumerate(indices):
-            piece = piece * factor(row, index)
+            piece = piece * table[row][index]
         total = total + piece
     return total
 
@@ -127,9 +116,6 @@ def _check_length(alpha: Composition, ctx: TruncationContext) -> None:
         raise TruncationTooSmall(
             f"composition {alpha} needs {len(alpha)} x-variables, have {ctx.n_x}"
         )
-
-
-_double_monomial_cache: dict[tuple[tuple[int, ...], int], XYPolynomial] = {}
 
 
 def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
@@ -143,14 +129,9 @@ def double_monomial(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:
         raise TruncationTooSmall(
             f"composition {alpha} needs {alpha.max_part()} y-variables, have {ctx.n_y}"
         )
-    key = (alpha, ctx.n_x)
-    cached = _double_monomial_cache.get(key)
-    if cached is None:
-        cached = _placement_sum(
-            len(alpha), ctx.n_x, lambda row, index: cell_class(alpha[row], index)
-        )
-        _double_monomial_cache[key] = cached
-    return cached
+    return _placement_sum(
+        len(alpha), ctx.n_x, lambda row, index: cell_class(alpha[row], index)
+    )
 
 
 def monomial_qsym(alpha: Composition, ctx: TruncationContext) -> XYPolynomial:

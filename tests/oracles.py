@@ -15,7 +15,11 @@ bounds.  The peeling expansion rewrites a polynomial in the M basis by
 subtracting double monomials degree by degree, where the library reads
 the expansion off cell coordinates.  The window test restricts a
 polynomial to every window of x-variables by substitution, where the
-library compares the coordinates of placements.
+library compares the coordinates of placements.  The product route
+certifies a coefficient table by multiplying two whole double
+monomials in the truncation ``for_product`` and expanding the product
+with ``expand_in_M``, where the library reads the product's cell
+coordinates off one-variable products.
 """
 
 import itertools
@@ -24,6 +28,7 @@ from collections import Counter
 from functools import lru_cache
 
 from dqsym.compositions import Composition, enumerate_compositions, enumerate_injections
+from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     XYPolynomial,
     _check_degree,
@@ -38,9 +43,11 @@ from dqsym.polynomial import (
 from dqsym.qsym import (
     Expansion,
     NotInSpan,
+    TruncationContext,
     TruncationTooSmall,
     _check_variables,
     double_monomial,
+    expand_in_M,
 )
 from dqsym.tableaux import DEFAULT_CONVENTION, enumerate_tableaux
 
@@ -390,6 +397,33 @@ def peeling_expand_in_M(p, ctx):
             )
         degree = new_degree
     return Expansion(coeffs)
+
+
+# The product route: certification by multiplying whole double monomials.
+
+
+def for_product(alpha, beta) -> TruncationContext:
+    """A truncation large enough to certify the product expansion.
+
+    len(alpha) + len(beta) x-variables keep the double monomials of
+    every composition in the product's support independent, and
+    |alpha| + |beta| + 1 y-variables cover every y-index a structure
+    coefficient can mention.
+    """
+    return TruncationContext(len(alpha) + len(beta), alpha.size() + beta.size() + 1)
+
+
+def product_route_verify(alpha, beta, convention=DEFAULT_CONVENTION) -> bool:
+    """Whether ``expand_in_M`` of M_alpha * M_beta, expanded exactly in
+    ``for_product(alpha, beta)``, reproduces ``product_expand``'s table;
+    False too when the product is not in the span."""
+    ctx = for_product(alpha, beta)
+    product = double_monomial(alpha, ctx) * double_monomial(beta, ctx)
+    expansion = product_expand(alpha, beta, convention)
+    try:
+        return expand_in_M(product, ctx) == expansion
+    except NotInSpan:
+        return False
 
 
 # Quasisymmetry by restriction: compare the restrictions of a polynomial

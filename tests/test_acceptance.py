@@ -189,3 +189,16 @@ def test_criterion_8_property_suite():
         for alpha in enumerate_compositions(3, 3):
             expansion = expand_in_M(double_monomial(alpha, ctx), ctx)
             assert expansion == Expansion({alpha: 1})
+
+
+def test_criterion_9_cell_certification():
+    with criterion(9, "certification sweep, sizes <= 6, lengths <= 3"):
+        compositions = sweep(6, 3)
+        assert len(compositions) == 42
+        failures = [
+            (alpha, beta)
+            for alpha in compositions
+            for beta in compositions
+            if not verify_expansion(alpha, beta, ORACLE)
+        ]
+        assert failures == []

@@ -17,13 +17,15 @@ from dqsym.lrcalc import (
     verify_expansion,
 )
 from dqsym.polynomial import XYPolynomial, one, y_var, zero
-from dqsym.qsym import Expansion, NotInSpan, TruncationContext
+from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention
 
 from oracles import (
     eval_double_monomial,
     eval_poly,
     filtered_support_candidates,
+    for_product,
+    product_route_verify,
     sample_points,
 )
 
@@ -257,7 +259,7 @@ class TestVerifyExpansion:
         # sums, holds exactly when the single certification route passes
         for alpha in compositions_up_to(3, 2):
             for beta in compositions_up_to(3, 2):
-                ctx = TruncationContext.for_product(alpha, beta)
+                ctx = for_product(alpha, beta)
                 expansion = product_expand(alpha, beta, convention)
                 holds = all(
                     eval_double_monomial(alpha, ctx.n_x, xs, ys)
@@ -285,6 +287,15 @@ class TestVerifyExpansion:
         (Composition([2, 1]), Composition([1, 2])),
         (Composition([1, 1]), Composition([3])),
     ]
+    # sizes <= 4, lengths <= 3: 15 compositions, 225 pairs
+    SWEEP = compositions_up_to(4, 3)
+
+    def _rejected(self) -> int:
+        return sum(
+            not verify_expansion(alpha, beta, ORACLE)
+            for alpha in self.SWEEP
+            for beta in self.SWEEP
+        )
 
     def test_rejects_dropped_gamma(self, monkeypatch):
         for position in (0, -1):
@@ -292,8 +303,7 @@ class TestVerifyExpansion:
                 del coeffs[sorted(coeffs, key=Composition.sort_key)[position]]
 
             self._tampered(monkeypatch, drop)
-            for alpha, beta in self.PAIRS:
-                assert not verify_expansion(alpha, beta, ORACLE)
+            assert self._rejected() == 225
 
     def test_rejects_flipped_sign(self, monkeypatch):
         for position in (0, -1):
@@ -302,8 +312,7 @@ class TestVerifyExpansion:
                 coeffs[gamma] = -coeffs[gamma]
 
             self._tampered(monkeypatch, flip)
-            for alpha, beta in self.PAIRS:
-                assert not verify_expansion(alpha, beta, ORACLE)
+            assert self._rejected() == 225
 
     def test_rejects_added_gamma(self, monkeypatch):
         def add_inside(coeffs, alpha, beta):
@@ -312,20 +321,75 @@ class TestVerifyExpansion:
             coeffs[missing[0]] = one()
 
         def add_outside(coeffs, alpha, beta):
-            # one part more than the truncation has x-variables
+            # one part more than the cells have x-positions
             coeffs[Composition([1] * (len(alpha) + len(beta) + 1))] = one()
 
-        for add in (add_inside, add_outside):
-            self._tampered(monkeypatch, add)
-            for alpha, beta in self.PAIRS[1:]:
-                assert not verify_expansion(alpha, beta, ORACLE)
+        self._tampered(monkeypatch, add_inside)
+        for alpha, beta in self.PAIRS[1:]:
+            assert not verify_expansion(alpha, beta, ORACLE)
+        self._tampered(monkeypatch, add_outside)
+        assert self._rejected() == 225
 
-    def test_not_in_span_is_a_failure(self, monkeypatch):
-        def expand_in_M(p, ctx):
-            raise NotInSpan("no leading monomial")
+    @staticmethod
+    def _tampered_cells(monkeypatch, edit):
+        product_cells = lrcalc._product_cells
 
-        monkeypatch.setattr(lrcalc, "expand_in_M", expand_in_M)
-        assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+        def tampered(alpha, beta):
+            cells = product_cells(alpha, beta)
+            edit(cells)
+            return cells
+
+        monkeypatch.setattr(lrcalc, "_product_cells", tampered)
+
+    def test_placements_that_disagree_fail(self, monkeypatch):
+        # M_(1) * M_(1) has y2 - y1 at both placements of (1,), x_1 and x_2;
+        # either one changed, or one missing, fails whichever is read
+        for cell in ((1, 0), (0, 1)):
+            def disagree(cells, cell=cell):
+                cells[cell] = cells[cell] + one()
+
+            def miss(cells, cell=cell):
+                del cells[cell]
+
+            for edit in (disagree, miss):
+                self._tampered_cells(monkeypatch, edit)
+                assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+
+    def test_stray_cell_fails(self, monkeypatch):
+        for stray in ({(3, 0): one()}, {(3, 0): one(), (0, 3): one()}):
+            # one placement of (3,), or both: a gamma off the table
+            self._tampered_cells(monkeypatch, lambda cells, stray=stray: cells.update(stray))
+            assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+
+    def test_routes_agree(self):
+        # the cell walk against the product route of the test oracle
+        assert len(self.SWEEP) == 15
+        for alpha in self.SWEEP:
+            for beta in self.SWEEP:
+                assert verify_expansion(alpha, beta, ORACLE)
+                assert product_route_verify(alpha, beta, ORACLE)
+        outcomes = Counter()
+        for alpha in compositions_up_to(3):
+            for beta in compositions_up_to(3):
+                passed = verify_expansion(alpha, beta, PAPER)
+                assert passed == product_route_verify(alpha, beta, PAPER)
+                outcomes[passed] += 1
+        assert outcomes == {True: 15, False: 49}
+
+    def test_sweep_rejects_paper_literal(self):
+        passed = [
+            (alpha, beta)
+            for alpha in self.SWEEP
+            for beta in self.SWEEP
+            if verify_expansion(alpha, beta, PAPER)
+        ]
+        assert len(passed) == 29
+        assert all(not alpha or not beta for alpha, beta in passed)
+
+    def test_degree_limit(self):
+        ones = Composition([1] * 256)
+        with pytest.raises(ValueError, match="total degree 256 exceeds"):
+            verify_expansion(ones, ones, ORACLE)
 
 
 class TestExpansionRecords:

@@ -199,6 +199,14 @@ class TestSubstitute:
         with pytest.raises(ValueError):
             x_var(1).substitute({("z", 1): 0})
 
+    @pytest.mark.parametrize("value", [2.5, "a", None, True, False], ids=repr)
+    @pytest.mark.parametrize("variable", [("x", 1), ("y", 1)], ids=["used", "unused"])
+    def test_bad_value_rejected(self, variable, value):
+        # only an int that is not a bool, or a polynomial, is a value,
+        # whether or not the polynomial uses the variable
+        with pytest.raises(ValueError, match=rf"bad value {value!r} for variable"):
+            x_var(1).substitute({variable: value})
+
 
 class TestDegreeComponents:
     def test_basic_component(self):

@@ -36,6 +36,7 @@ from oracles import (
     brute_monomial_qsym_terms,
     eval_double_monomial,
     eval_poly,
+    for_product,
     peeling_expand_in_M,
     poly_x_terms,
     sample_points,
@@ -55,9 +56,10 @@ class TestTruncationContext:
         assert ctx == TruncationContext(2, 3)
 
     def test_for_product(self):
-        ctx = TruncationContext.for_product(Composition([3, 2]), Composition([2, 3]))
+        # the product route's truncation, kept as a test oracle
+        ctx = for_product(Composition([3, 2]), Composition([2, 3]))
         assert (ctx.n_x, ctx.n_y) == (4, 11)
-        unit = TruncationContext.for_product(Composition(), Composition())
+        unit = for_product(Composition(), Composition())
         assert (unit.n_x, unit.n_y) == (0, 1)
 
 
@@ -230,6 +232,24 @@ class TestQsymGenerator:
         with pytest.raises(ValueError):
             qsym_generator([y_var(1)], TruncationContext(3, 0))
 
+    def test_substitutes_each_row_and_index_once(self, monkeypatch):
+        calls = []
+        substitute = XYPolynomial.substitute
+
+        def counted(p, assignment):
+            calls.append(assignment)
+            return substitute(p, assignment)
+
+        x = x_var(1)
+        factors = [x, x * x + x, x]
+        expected = zero()
+        for i, j, k in itertools.combinations(range(1, 11), 3):
+            expected = expected + x_var(i) * (x_var(j) ** 2 + x_var(j)) * x_var(k)
+        monkeypatch.setattr(XYPolynomial, "substitute", counted)
+        assert qsym_generator(factors, TruncationContext(10, 0)) == expected
+        # one substitution per (row, index): 3 rows times 10 x-variables
+        assert len(calls) == 30
+
     def test_more_factors_than_variables(self):
         x = x_var(1)
         assert qsym_generator([x, x, x], TruncationContext(2, 0)) == zero()
@@ -321,7 +341,7 @@ class TestExpandInM:
 
     def test_context_independence(self):
         alpha, beta = Composition([2]), Composition([1, 1])
-        small = TruncationContext.for_product(alpha, beta)
+        small = for_product(alpha, beta)
         big = TruncationContext(small.n_x + 1, small.n_y + 1)
         product_small = double_monomial(alpha, small) * double_monomial(beta, small)
         product_big = double_monomial(alpha, big) * double_monomial(beta, big)
