@@ -9,7 +9,6 @@ and a brute-force polynomial oracle certifying the whole thing.
 from .polynomial import Monomial, XYPolynomial, constant, one, x_var, y_var, zero
 from .compositions import (
     Composition,
-    OrderedInjection,
     enumerate_compositions,
     enumerate_injections,
     overlapping_shuffles,
@@ -56,7 +55,6 @@ __all__ = [
     "Monomial",
     "NotInMaximalIdeal",
     "NotInSpan",
-    "OrderedInjection",
     "SkewEdgeTableau",
     "SkylineTableau",
     "StructureCoefficient",

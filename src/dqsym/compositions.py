@@ -2,7 +2,8 @@
 
 A composition is a finite sequence of positive integers; the empty
 composition is allowed and indexes the unit of every algebra in this
-package.
+package.  An order-preserving injection [1..s] -> [1..t] is the
+increasing tuple of its s images.
 
 A ``Composition`` is a tuple of its parts: it hashes, compares equal,
 indexes and iterates as that plain tuple does, so compositions and
@@ -24,6 +25,7 @@ from .polynomial import (
     XYPolynomial,
     _add_into,
     _check_degree,
+    _is_int,
     _mul_into,
     _mul_terms,
     one,
@@ -45,7 +47,7 @@ class Composition(tuple):
     # the tuple is built by tuple.__new__; __init__ only validates it
     def __init__(self, parts: Iterable[int] = ()):
         for part in self:
-            if type(part) is bool or not isinstance(part, int) or part < 1:
+            if not _is_int(part) or part < 1:
                 raise ValueError(f"parts must be positive integers, got {part!r}")
 
     # trusted constructor: parts already a tuple of positive ints
@@ -96,7 +98,7 @@ def enumerate_compositions(max_length: int, max_part: int) -> list[Composition]:
 
     The count is sum(max_part**k for k in range(max_length + 1)).
     """
-    if max_length < 0 or max_part < 0:
+    if not all(_is_int(v) and v >= 0 for v in (max_length, max_part)):
         raise ValueError("bounds must be >= 0")
     found = [
         Composition(parts)
@@ -116,7 +118,7 @@ def compositions_of_size(size: int, max_length: int, max_part: int) -> list[Comp
     for the sums that the parts before them can still complete to
     ``size``, so every tail built ends some composition returned.
     """
-    if size < 0 or max_length < 0 or max_part < 0:
+    if not all(_is_int(v) and v >= 0 for v in (size, max_length, max_part)):
         raise ValueError("size and bounds must be >= 0")
     found = []
     for length in range(min(max_length, size) + 1):
@@ -137,80 +139,16 @@ def compositions_of_size(size: int, max_length: int, max_part: int) -> list[Comp
     return found
 
 
-class OrderedInjection:
-    """A strictly increasing map from [1..source_size] into [1..target_size]."""
+def enumerate_injections(source_size: int, target_size: int) -> list[tuple[int, ...]]:
+    """All order-preserving injections [1..source_size] -> [1..target_size],
+    each the increasing tuple of its images.
 
-    __slots__ = ("images", "target_size", "image_set")
-
-    images: tuple[int, ...]
-    target_size: int
-    image_set: frozenset[int]
-
-    def __init__(self, images: Iterable[int], target_size: int):
-        images = tuple(images)
-        if (
-            type(target_size) is bool
-            or not isinstance(target_size, int)
-            or target_size < 0
-        ):
-            raise ValueError("target_size must be >= 0")
-        previous = 0
-        for image in images:
-            if (
-                type(image) is bool
-                or not isinstance(image, int)
-                or not previous < image <= target_size
-            ):
-                raise ValueError(
-                    f"images must increase strictly within [1, {target_size}], got {images}"
-                )
-            previous = image
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "target_size", target_size)
-        object.__setattr__(self, "image_set", frozenset(images))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderedInjection is immutable")
-
-    @property
-    def source_size(self) -> int:
-        return len(self.images)
-
-    def part_at(self, parts: Sequence[int], target: int) -> int:
-        """Route ``parts`` along the injection: the k-th part lands at
-        position ``images[k]``; positions not hit receive 0."""
-        if len(parts) != len(self.images):
-            raise ValueError("parts length must equal source_size")
-        for k, image in enumerate(self.images):
-            if image == target:
-                return parts[k]
-        return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderedInjection):
-            return NotImplemented
-        return self.images == other.images and self.target_size == other.target_size
-
-    def __hash__(self):
-        return hash((self.images, self.target_size))
-
-    def __repr__(self) -> str:
-        return f"OrderedInjection({list(self.images)}, target_size={self.target_size})"
-
-
-def enumerate_injections(source_size: int, target_size: int) -> list[OrderedInjection]:
-    """All order-preserving injections [1..source_size] -> [1..target_size].
-
-    There are C(target_size, source_size) of them, listed with images in
-    lexicographic order; the list is empty when source_size exceeds
-    target_size.
+    There are C(target_size, source_size) of them, in lexicographic
+    order; the list is empty when source_size exceeds target_size.
     """
-    if source_size < 0 or target_size < 0:
+    if not all(_is_int(v) and v >= 0 for v in (source_size, target_size)):
         raise ValueError("sizes must be >= 0")
-    return [
-        OrderedInjection(images, target_size)
-        for images in itertools.combinations(range(1, target_size + 1), source_size)
-    ]
+    return list(itertools.combinations(range(1, target_size + 1), source_size))
 
 
 def routing_outcomes(

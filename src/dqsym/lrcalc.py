@@ -28,8 +28,11 @@ n = len(alpha) + len(beta), with no polynomial in two x-variables.  Over
 placements S, M_alpha = sum_S prod_i phi_{a_i}(x_i), a_i = 0 off S and
 phi_0 = 1, so the product is a sum over placement pairs of factors
 phi_{a_i}(x_i) * phi_{b_i}(x_i), one per x-variable.  In one variable
-phi_a * phi_b = sum_c e(a, b)_c * phi_c exactly, and e(a, b) is read off
-that product, not taken from ``cp_product``.  So the product's
+phi_a * phi_b = sum_c e(a, b)_c * phi_c exactly: e(a, b) comes from
+the coordinates of phi_a, 1 at a, multiplied by x - y_j for j = 1..b
+with (x - y_j) * phi_c = phi_{c+1} + (y_{c+1} - y_j) * phi_c, which is
+phi_{c+1} = (x - y_{c+1}) * phi_c rearranged, in exact integer
+arithmetic and never from ``cp_product``.  So the product's
 coordinate at the cell prod_i phi_{c_i}(x_i) sums prod_i e(a_i, b_i)_{c_i}
 over placement pairs.  The cells are a Z[y]-basis (phi_c is monic of
 degree c) in which M_gamma has coordinate 1 at each placement of gamma
@@ -49,14 +52,14 @@ from .compositions import (
     enumerate_injections,
     routing_outcomes,
 )
-from .qsym import Expansion, _placements, cell_class
+from .qsym import Expansion, _placements
 from .tableaux import (
     DEFAULT_CONVENTION,
     WeightConvention,
     cp_product,
     enumerate_skylines,
 )
-from .polynomial import XYPolynomial, _cell_coordinates, _check_degree, _mul_into, zero
+from .polynomial import XYPolynomial, _add_into, _check_degree, _mul_into, zero
 
 
 class StructureCoefficient(NamedTuple):
@@ -139,9 +142,7 @@ def skyline_census(
     out: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}
     for iota in enumerate_injections(len(alpha), n):
         for jota in enumerate_injections(len(beta), n):
-            out[(iota.images, jota.images)] = enumerate_skylines(
-                alpha, beta, gamma, iota, jota
-            )
+            out[iota, jota] = enumerate_skylines(alpha, beta, gamma, iota, jota)
     return out
 
 
@@ -200,6 +201,25 @@ def product_expand(
     )
 
 
+def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
+    """The one-variable cell coordinates e(a, b) of phi_a * phi_b, as
+    (c, terms dict) pairs: phi_a is multiplied by x - y_j for j = 1..b, by
+    (x - y_j) * phi_c = phi_{c+1} + (y_{c+1} - y_j) * phi_c, on the
+    larger of the two so that the fewer factors are applied.  Then
+    c >= a >= j, so y_{c+1} - y_j never vanishes."""
+    if a < b:
+        a, b = b, a
+    coords = [(a, {0: 1})]
+    for j in range(1, b + 1):
+        y_j = 1 << 16 * j + 8 | 1  # packed keys: y_j, and y_{c+1} below
+        stepped: dict[int, dict[int, int]] = {}
+        for c, terms in coords:
+            _add_into(stepped.setdefault(c + 1, {}), terms)
+            _mul_into(stepped.setdefault(c, {}), terms, {1 << 16 * c + 24 | 1: 1, y_j: -1})
+        coords = [(c, terms) for c, terms in stepped.items() if terms]
+    return coords
+
+
 def _product_cells(alpha: Composition, beta: Composition) -> dict:
     """The nonzero cell coordinates of M_alpha * M_beta, keyed by
     (c_1, ..., c_n).  A state (k, m, cell prefix) has placed alpha[:k]
@@ -208,11 +228,7 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
     A step adds a + b - c <= min(a, b) to the degree, so one check of
     the limit covers the walk."""
     _check_degree(min(alpha.size(), beta.size()))
-    e = {}
-    for a in {0, *alpha}:
-        for b in {0, *beta}:
-            p = cell_class(a, 1) * cell_class(b, 1)
-            e[a, b] = [(c, v.terms) for (c,), v in _cell_coordinates(p, 1).items()]
+    e = {(a, b): _cell_product(a, b) for a in {0, *alpha} for b in {0, *beta}}
     la, lb = len(alpha), len(beta)
     states = {(0, 0, ()): {0: 1}}
     for left in range(la + lb - 1, -1, -1):

@@ -76,13 +76,18 @@ ExponentPairs = tuple[tuple[int, int], ...]
 MAX_DEGREE = 255
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return type(value) is not bool and isinstance(value, int)
+
+
 def _normalize_exponents(data) -> ExponentPairs:
     """Sort (index, exponent) pairs, drop zeros, reject bad values."""
     if isinstance(data, Mapping):
         data = data.items()
     cleaned = []
     for index, exponent in data:
-        if any(type(v) is bool or not isinstance(v, int) for v in (index, exponent)):
+        if not (_is_int(index) and _is_int(exponent)):
             raise ValueError("variable indices and exponents must be integers")
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
@@ -250,7 +255,7 @@ class XYPolynomial:
             for monomial, coefficient in terms.items():
                 if not isinstance(monomial, Monomial):
                     raise TypeError("keys must be Monomial instances")
-                if type(coefficient) is bool or not isinstance(coefficient, int):
+                if not _is_int(coefficient):
                     raise TypeError("coefficients must be integers")
                 if coefficient:
                     key = _pack(
@@ -343,7 +348,7 @@ class XYPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> XYPolynomial:
-        if type(n) is bool or not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = _ONE
         base = self
@@ -402,10 +407,10 @@ class XYPolynomial:
         values: dict[Variable, XYPolynomial] = {}
         for var, value in assignment.items():
             kind, index = var
-            bad_index = type(index) is bool or not isinstance(index, int) or index < 1
+            bad_index = not _is_int(index) or index < 1
             if kind not in ("x", "y") or bad_index:
                 raise ValueError(f"bad variable {var!r}")
-            if type(value) is bool or not isinstance(value, (int, XYPolynomial)):
+            if not (_is_int(value) or isinstance(value, XYPolynomial)):
                 raise ValueError(f"bad value {value!r} for variable {var!r}")
             values[var] = constant(value) if isinstance(value, int) else value
         # (shift of its exponent byte, the key of its first power, value)
@@ -643,7 +648,7 @@ class RecordsEncoder:
 
 def constant(value: int) -> XYPolynomial:
     """The constant polynomial ``value``."""
-    if type(value) is bool or not isinstance(value, int):
+    if not _is_int(value):
         raise TypeError("constant must be an integer")
     if value == 0:
         return _ZERO
@@ -652,14 +657,14 @@ def constant(value: int) -> XYPolynomial:
 
 def x_var(index: int) -> XYPolynomial:
     """The variable x_index as a polynomial."""
-    if type(index) is bool or not isinstance(index, int) or index < 1:
+    if not _is_int(index) or index < 1:
         raise ValueError("index must be a positive integer")
     return XYPolynomial._raw({1 | 1 << 8 | 1 << 16 * index: 1})
 
 
 def y_var(index: int) -> XYPolynomial:
     """The variable y_index as a polynomial."""
-    if type(index) is bool or not isinstance(index, int) or index < 1:
+    if not _is_int(index) or index < 1:
         raise ValueError("index must be a positive integer")
     return XYPolynomial._raw({1 | 1 << 16 * index + 8: 1})
 

@@ -40,6 +40,7 @@ from .compositions import Composition
 from .polynomial import (
     XYPolynomial,
     _cell_coordinates,
+    _is_int,
     _x_coordinates,
     constant,
     one,
@@ -68,7 +69,7 @@ class TruncationContext:
 
     def __init__(self, n_x: int, n_y: int):
         for count in (n_x, n_y):
-            if type(count) is bool or not isinstance(count, int) or count < 0:
+            if not _is_int(count) or count < 0:
                 raise ValueError("variable counts must be >= 0")
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_y", n_y)
@@ -90,7 +91,7 @@ class TruncationContext:
 
 def cell_class(part: int, x_index: int) -> XYPolynomial:
     """prod_{j=1}^{part} (x_{x_index} - y_j), the factor one row contributes."""
-    if part < 0 or x_index < 1:
+    if not (_is_int(part) and _is_int(x_index) and part >= 0 and x_index >= 1):
         raise ValueError("part must be >= 0 and x_index >= 1")
     result = one()
     for j in range(1, part + 1):

@@ -25,7 +25,8 @@ skylines take either convention.
 A skyline stack assembles one row per part of an outcome composition
 gamma: row i has shape gamma_i / (part of alpha routed to i) and
 content equal to the part of beta routed to i, the routing given by a
-pair of order-preserving injections that jointly cover all rows.
+pair of order-preserving injections, each the increasing tuple of its
+images, that jointly cover all rows.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .compositions import Composition, OrderedInjection
-from .polynomial import XYPolynomial, _add_into, _check_degree, one, y_var
+from .compositions import Composition
+from .polynomial import XYPolynomial, _add_into, _check_degree, _is_int, one, y_var
 
 
 class WeightConvention(enum.Enum):
@@ -47,11 +48,6 @@ class WeightConvention(enum.Enum):
 
 
 DEFAULT_CONVENTION = WeightConvention.ORACLE_CONSISTENT
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return type(value) is not bool and isinstance(value, int)
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def cp_product(a: int, b: int) -> dict[int, XYPolynomial]:
     identity.  Zero coefficients are omitted; the support lies in
     [max(a, b), a + b].
     """
-    if a < 0 or b < 0:
+    if not (_is_int(a) and _is_int(b) and a >= 0 and b >= 0):
         raise ValueError("a and b must be >= 0")
     out: dict[int, XYPolynomial] = {}
     for c in range(max(a, b), a + b + 1):
@@ -164,34 +160,56 @@ def cp_product(a: int, b: int) -> dict[int, XYPolynomial]:
     return out
 
 
+def _row_shapes(gamma, alpha, beta, iota, jota) -> list[tuple[int, int, int]]:
+    """(gamma_i, part of alpha routed to row i, part of beta routed to
+    row i) for each row i of gamma: the k-th part lands on the row of
+    the k-th image, and a row not hit gets 0.  Raises ``ValueError``
+    unless each injection holds one int per part, strictly increasing
+    within [1, len(gamma)]."""
+    n = len(gamma)
+    routed = []
+    for parts, images in ((alpha, iota), (beta, jota)):
+        if len(images) != len(parts):
+            raise ValueError(f"need one image per part of {list(parts)}, got {images}")
+        row_parts = [0] * n
+        previous = 0
+        for part, image in zip(parts, images):
+            if not (_is_int(image) and previous < image <= n):
+                raise ValueError(
+                    f"images must increase strictly within [1, {n}], got {images}"
+                )
+            row_parts[image - 1] = part
+            previous = image
+        routed.append(row_parts)
+    return list(zip(gamma, *routed))
+
+
 @dataclass(frozen=True)
 class SkylineTableau:
     """A stack of one-row tableaux recording one term of a product rule.
 
     Row i (1-based) has shape gamma_i / alpha_part and content
     beta_part, where the parts of alpha and beta are routed to rows by
-    the injections ``iota`` and ``jota``; rows hit by neither would be
-    impossible, so the images must cover every row.
+    the order-preserving injections ``iota`` and ``jota``, given as
+    tuples of images; rows hit by neither would be impossible, so the
+    images must cover every row.
     """
 
     gamma: Composition
     alpha: Composition
     beta: Composition
-    iota: OrderedInjection
-    jota: OrderedInjection
+    iota: tuple[int, ...]
+    jota: tuple[int, ...]
     rows: tuple[SkewEdgeTableau, ...]
 
     def __post_init__(self):
-        if len(self.rows) != len(self.gamma):
+        object.__setattr__(self, "iota", tuple(self.iota))
+        object.__setattr__(self, "jota", tuple(self.jota))
+        shapes = _row_shapes(self.gamma, self.alpha, self.beta, self.iota, self.jota)
+        if len(self.rows) != len(shapes):
             raise ValueError("need one row per part of gamma")
-        for i, row in enumerate(self.rows, start=1):
-            expected_inner = self.iota.part_at(self.alpha, i)
-            expected_content = self.jota.part_at(self.beta, i)
-            if (
-                row.outer != self.gamma[i - 1]
-                or row.inner != expected_inner
-                or row.content != expected_content
-            ):
+        for i, (row, shape) in enumerate(zip(self.rows, shapes), start=1):
+            if (row.outer, row.inner, row.content) != shape:
                 raise ValueError(f"row {i} does not match the routed shape and content")
 
     def weight(self, convention: WeightConvention = DEFAULT_CONVENTION) -> XYPolynomial:
@@ -203,8 +221,8 @@ class SkylineTableau:
     def to_record(self) -> dict:
         return {
             "gamma": self.gamma.to_list(),
-            "iota": list(self.iota.images),
-            "jota": list(self.jota.images),
+            "iota": list(self.iota),
+            "jota": list(self.jota),
             "rows": [row.to_record() for row in self.rows],
         }
 
@@ -213,26 +231,20 @@ def enumerate_skylines(
     alpha: Composition,
     beta: Composition,
     gamma: Composition,
-    iota: OrderedInjection,
-    jota: OrderedInjection,
+    iota: tuple[int, ...],
+    jota: tuple[int, ...],
 ) -> list[SkylineTableau]:
-    """All skyline stacks for one routing of alpha and beta into gamma.
+    """All skyline stacks for one routing of alpha and beta into gamma,
+    the injections ``iota`` and ``jota`` given as tuples of images.
 
-    Empty when the images of ``iota`` and ``jota`` fail to cover every
-    row, or when any single row admits no tableau.
+    Empty when some row admits no tableau.  A row hit by neither
+    injection is one: it would have shape gamma_i / 0 and content 0,
+    and gamma_i >= 1 boxes need as many labels.
     """
-    n = len(gamma)
-    if iota.source_size != len(alpha) or jota.source_size != len(beta):
-        raise ValueError("injection source sizes must match the compositions")
-    if iota.target_size != n or jota.target_size != n:
-        raise ValueError("injection targets must have one slot per part of gamma")
-    if iota.image_set | jota.image_set != frozenset(range(1, n + 1)):
-        return []
+    iota, jota = tuple(iota), tuple(jota)
     per_row = []
-    for i in range(1, n + 1):
-        choices = enumerate_tableaux(
-            gamma[i - 1], iota.part_at(alpha, i), jota.part_at(beta, i)
-        )
+    for shape in _row_shapes(gamma, alpha, beta, iota, jota):
+        choices = enumerate_tableaux(*shape)
         if not choices:
             return []
         per_row.append(choices)

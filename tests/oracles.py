@@ -19,7 +19,9 @@ library compares the coordinates of placements.  The product route
 certifies a coefficient table by multiplying two whole double
 monomials in the truncation ``for_product`` and expanding the product
 with ``expand_in_M``, where the library reads the product's cell
-coordinates off one-variable products.
+coordinates off one-variable products.  The one-variable oracle reads
+phi_a * phi_b off the two expanded cell classes, where the library
+steps through cell coordinates one linear factor at a time.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from dqsym.compositions import Composition, enumerate_compositions, enumerate_in
 from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     XYPolynomial,
+    _cell_coordinates,
     _check_degree,
     _masks,
     _width,
@@ -46,6 +49,7 @@ from dqsym.qsym import (
     TruncationContext,
     TruncationTooSmall,
     _check_variables,
+    cell_class,
     double_monomial,
     expand_in_M,
 )
@@ -200,18 +204,16 @@ def injection_structure_coefficient(alpha, beta, gamma, convention=DEFAULT_CONVE
     the product of the rows' weight sums."""
     n = len(gamma)
     total = zero()
-    full = frozenset(range(1, n + 1))
+    full = set(range(1, n + 1))
     for iota in enumerate_injections(len(alpha), n):
         for jota in enumerate_injections(len(beta), n):
-            if iota.image_set | jota.image_set != full:
+            if set(iota) | set(jota) != full:
                 continue
+            inner, content = dict(zip(iota, alpha)), dict(zip(jota, beta))
             pair_total = one()
             for i in range(1, n + 1):
                 row_sum = tableau_row_sum(
-                    gamma[i - 1],
-                    iota.part_at(alpha, i),
-                    jota.part_at(beta, i),
-                    convention,
+                    gamma[i - 1], inner.get(i, 0), content.get(i, 0), convention
                 )
                 if not row_sum:
                     pair_total = zero()
@@ -253,16 +255,14 @@ def injection_overlapping_shuffles(alpha, beta):
     la, lb = len(alpha), len(beta)
     counts = Counter()
     for n in range(max(la, lb), la + lb + 1):
-        full = frozenset(range(1, n + 1))
+        full = set(range(1, n + 1))
         for iota in enumerate_injections(la, n):
             for jota in enumerate_injections(lb, n):
-                if iota.image_set | jota.image_set != full:
+                if set(iota) | set(jota) != full:
                     continue
+                inner, content = dict(zip(iota, alpha)), dict(zip(jota, beta))
                 counts[
-                    Composition(
-                        iota.part_at(alpha, i) + jota.part_at(beta, i)
-                        for i in range(1, n + 1)
-                    )
+                    Composition(inner.get(i, 0) + content.get(i, 0) for i in range(1, n + 1))
                 ] += 1
     return counts
 
@@ -424,6 +424,15 @@ def product_route_verify(alpha, beta, convention=DEFAULT_CONVENTION) -> bool:
         return expand_in_M(product, ctx) == expansion
     except NotInSpan:
         return False
+
+
+def one_variable_cell_product(a, b):
+    """The one-variable cell coordinates of phi_a * phi_b, {c: value},
+    read off the expanded product of the two cell classes, where the
+    library multiplies phi_a by one x - y_j at a time in cell
+    coordinates."""
+    product = cell_class(a, 1) * cell_class(b, 1)
+    return {c: value for (c,), value in _cell_coordinates(product, 1).items()}
 
 
 # Quasisymmetry by restriction: compare the restrictions of a polynomial

@@ -11,7 +11,6 @@ from math import comb
 
 from dqsym.compositions import (
     Composition,
-    OrderedInjection,
     enumerate_compositions,
     overlapping_shuffles,
 )
@@ -73,14 +72,8 @@ def test_criterion_3_paper_skyline_census():
         alpha, beta = Composition([3, 2]), Composition([2, 3])
         gamma = Composition([3, 2, 4])
 
-        def skylines(iota_images, jota_images):
-            return enumerate_skylines(
-                alpha,
-                beta,
-                gamma,
-                OrderedInjection(iota_images, 3),
-                OrderedInjection(jota_images, 3),
-            )
+        def skylines(iota, jota):
+            return enumerate_skylines(alpha, beta, gamma, iota, jota)
 
         found = skylines((1, 3), (2, 3))
         assert len(found) == 2

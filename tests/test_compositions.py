@@ -7,12 +7,13 @@ import pytest
 
 from dqsym.compositions import (
     Composition,
-    OrderedInjection,
     compositions_of_size,
     enumerate_compositions,
     enumerate_injections,
     overlapping_shuffles,
 )
+from dqsym.qsym import cell_class
+from dqsym.tableaux import _row_shapes, cp_product, enumerate_skylines
 
 from oracles import injection_overlapping_shuffles
 
@@ -144,34 +145,35 @@ class TestCompositionsOfSize:
             compositions_of_size(-1, 2, 2)
 
 
-class TestOrderedInjection:
+class TestInjections:
+    """Injections are tuples of images, checked where they are used."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OrderedInjection([2, 2], 3)
-        with pytest.raises(ValueError):
-            OrderedInjection([3, 1], 3)
-        with pytest.raises(ValueError):
-            OrderedInjection([0], 3)
-        with pytest.raises(ValueError):
-            OrderedInjection([4], 3)
+        alpha = Composition([1, 1])
+        for images, rows in (([2, 2], 3), ([3, 1], 3), ([0], 3), ([4], 3), ([True], 1)):
+            parts = Composition(alpha[: len(images)])
+            gamma = Composition([1] * rows)
+            with pytest.raises(ValueError, match="images must increase strictly"):
+                _row_shapes(gamma, parts, Composition(), tuple(images), ())
+            with pytest.raises(ValueError, match="images must increase strictly"):
+                enumerate_skylines(parts, Composition(), gamma, images, ())
         with pytest.raises(ValueError, match="images must increase strictly"):
-            OrderedInjection([True], 1)
-        with pytest.raises(ValueError, match="target_size must be >= 0"):
-            OrderedInjection([1], True)
+            _row_shapes(Composition([1]), Composition([1]), Composition(), (1.0,), ())
 
     def test_part_routing(self):
-        iota = OrderedInjection([1, 3], 3)
-        alpha = Composition([3, 2])
-        assert [iota.part_at(alpha, i) for i in (1, 2, 3)] == [3, 0, 2]
-        with pytest.raises(ValueError):
-            iota.part_at(Composition([1]), 1)
+        alpha, beta, gamma = Composition([3, 2]), Composition([1]), Composition([3, 3, 3])
+        shapes = _row_shapes(gamma, alpha, beta, (1, 3), (2,))
+        assert shapes == [(3, 3, 0), (3, 0, 1), (3, 2, 0)]
+        with pytest.raises(ValueError, match="one image per part"):
+            _row_shapes(gamma, Composition([1]), beta, (1, 3), (2,))
+        with pytest.raises(ValueError, match="one image per part"):
+            _row_shapes(gamma, alpha, beta, (1, 3), ())
 
     def test_enumeration(self):
-        images = [inj.images for inj in enumerate_injections(2, 3)]
+        images = enumerate_injections(2, 3)
         assert images == [(1, 2), (1, 3), (2, 3)]
         assert (1, 3) in images  # the worked example's iota
-        assert len(enumerate_injections(0, 4)) == 1
-        assert enumerate_injections(0, 4)[0].images == ()
+        assert enumerate_injections(0, 4) == [()]
 
     def test_counts(self):
         for n in range(6):
@@ -180,6 +182,29 @@ class TestOrderedInjection:
 
     def test_source_above_target_is_empty(self):
         assert enumerate_injections(3, 2) == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_compositions(True, 2),
+        lambda: enumerate_compositions(2, 1.5),
+        lambda: compositions_of_size(2, True, 2),
+        lambda: compositions_of_size(2.0, 2, 2),
+        lambda: enumerate_injections(True, 2),
+        lambda: enumerate_injections(1, 2.0),
+        lambda: cell_class(True, 1),
+        lambda: cell_class(1.5, 1),
+        lambda: cell_class(1, True),
+        lambda: cp_product(True, 1),
+        lambda: cp_product(1, 1.5),
+    ],
+)
+def test_integer_arguments_validated(call):
+    # a bool is not read as 1, even once the row sums of 1 are cached
+    cp_product(1, 1)
+    with pytest.raises(ValueError):
+        call()
 
 
 def covering_pair_count(la: int, lb: int) -> int:

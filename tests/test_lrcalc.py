@@ -16,7 +16,7 @@ from dqsym.lrcalc import (
     support_candidates,
     verify_expansion,
 )
-from dqsym.polynomial import XYPolynomial, one, y_var, zero
+from dqsym.polynomial import XYPolynomial, one, x_var, y_var, zero
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention
 
@@ -25,6 +25,7 @@ from oracles import (
     eval_poly,
     filtered_support_candidates,
     for_product,
+    one_variable_cell_product,
     product_route_verify,
     sample_points,
 )
@@ -390,6 +391,77 @@ class TestVerifyExpansion:
         ones = Composition([1] * 256)
         with pytest.raises(ValueError, match="total degree 256 exceeds"):
             verify_expansion(ones, ones, ORACLE)
+
+    def test_one_variable_products_match_oracle(self):
+        for a in range(9):
+            for b in range(9):
+                found = {
+                    c: XYPolynomial._raw(terms)
+                    for c, terms in lrcalc._cell_product(a, b)
+                }
+                assert found == one_variable_cell_product(a, b)
+
+    def test_large_part(self):
+        # phi_20 has 2**20 terms; its cell coordinates have one
+        assert verify_expansion(Composition([20]), Composition([2]), ORACLE)
+        assert verify_expansion(Composition([2]), Composition([20]), ORACLE)
+
+
+def z_positive(value: XYPolynomial, z_forms: dict) -> bool:
+    """Whether ``value``, under y_j -> y_1 + z_1 + ... + z_{j-1} with z_i
+    written x_i (coefficients are x-free), is nonzero, has no y left
+    and only positive integer coefficients."""
+    for _, j in value.variables():
+        if j not in z_forms:
+            z_forms[j] = y_var(1) + sum((x_var(i) for i in range(1, j)), zero())
+    z = value.substitute({("y", j): z_forms[j] for _, j in value.variables()})
+    return bool(z) and all(not m.y and c > 0 for m, c in z.sorted_terms())
+
+
+class TestEquivariantPositivity:
+    """Every factor y_{i+1+r} - y_i of an oracle-consistent weight is
+    z_i + ... + z_{i+r} with z_i = y_{i+1} - y_i, so every coefficient
+    is a polynomial in the z_i with positive coefficients and no y_1."""
+
+    SWEEP = compositions_up_to(4, 3)
+
+    @staticmethod
+    def _failing_pairs(sweep, convention=ORACLE) -> int:
+        z_forms = {}
+        return sum(
+            not all(
+                z_positive(value, z_forms)
+                for _, value in product_expand(alpha, beta, convention).items()
+            )
+            for alpha in sweep
+            for beta in sweep
+        )
+
+    def test_table_is_z_positive(self):
+        # sizes <= 5, lengths <= 3: 676 pairs, 19,031 coefficients
+        sweep = compositions_up_to(5, 3)
+        z_forms = {}
+        values = [
+            value
+            for alpha in sweep
+            for beta in sweep
+            for _, value in product_expand(alpha, beta).items()
+        ]
+        assert len(sweep) ** 2 == 676 and len(values) == 19031
+        assert all(z_positive(value, z_forms) for value in values)
+
+    def test_rejects_negated_row_sum(self, monkeypatch):
+        cp_product = lrcalc.cp_product
+
+        def negated(a, b):
+            table = cp_product(a, b)
+            return {**table, 2: -table[2]} if (a, b) == (2, 1) else table
+
+        monkeypatch.setattr(lrcalc, "cp_product", negated)
+        assert self._failing_pairs(self.SWEEP) == 64
+
+    def test_rejects_paper_literal(self):
+        assert self._failing_pairs(self.SWEEP, PAPER) == 196
 
 
 class TestExpansionRecords:

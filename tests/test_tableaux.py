@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from dqsym.compositions import Composition, OrderedInjection, enumerate_injections
+from dqsym.compositions import Composition, enumerate_injections
 from dqsym.polynomial import one, x_var, y_var, zero
 from dqsym.qsym import cell_class
 from dqsym.tableaux import (
@@ -233,8 +233,8 @@ def paper_example_pieces():
     alpha = Composition([3, 2])
     beta = Composition([2, 3])
     gamma = Composition([3, 2, 4])
-    iota = OrderedInjection((1, 3), 3)
-    jota = OrderedInjection((2, 3), 3)
+    iota = (1, 3)
+    jota = (2, 3)
     return alpha, beta, gamma, iota, jota
 
 
@@ -260,11 +260,20 @@ class TestSkylineTableau:
             alpha,
             alpha,
             Composition(),
-            OrderedInjection((1, 2), 2),
-            OrderedInjection((), 2),
+            (1, 2),
+            (),
             (SkewEdgeTableau(3, 3, frozenset()), SkewEdgeTableau(2, 2, frozenset())),
         )
         assert skyline.weight(PAPER) == one()
+
+    def test_images_are_tuples_and_checked(self):
+        alpha, beta, gamma, iota, jota = paper_example_pieces()
+        skyline = self.build({1})
+        listed = SkylineTableau(gamma, alpha, beta, list(iota), list(jota), skyline.rows)
+        assert (listed.iota, listed.jota) == (iota, jota) and listed == skyline
+        for bad in ((3, 1), (1, 4), (1,), (True, 3)):
+            with pytest.raises(ValueError):
+                SkylineTableau(gamma, alpha, beta, bad, jota, skyline.rows)
 
     def test_row_count_checked(self):
         alpha, beta, gamma, iota, jota = paper_example_pieces()
@@ -295,7 +304,7 @@ class TestEnumerateSkylines:
         census = {}
         for iota in enumerate_injections(2, 3):
             for jota in enumerate_injections(2, 3):
-                census[iota.images, jota.images] = enumerate_skylines(
+                census[iota, jota] = enumerate_skylines(
                     alpha, beta, gamma, iota, jota
                 )
         nonempty = {key: val for key, val in census.items() if val}
@@ -309,20 +318,20 @@ class TestEnumerateSkylines:
     def test_oversized_part_blocks_routing(self):
         # routing alpha_1 = 3 onto the size-2 part leaves row 2 impossible
         alpha, beta, gamma, _, _ = paper_example_pieces()
-        iota = OrderedInjection((2, 3), 3)
-        jota = OrderedInjection((2, 3), 3)
+        iota = (2, 3)
+        jota = (2, 3)
         assert enumerate_skylines(alpha, beta, gamma, iota, jota) == []
 
     def test_uncovered_row_blocks_routing(self):
         alpha, beta, gamma, _, _ = paper_example_pieces()
-        iota = OrderedInjection((1, 2), 3)
-        jota = OrderedInjection((2, 3), 3)
+        iota = (1, 2)
+        jota = (2, 3)
         assert enumerate_skylines(alpha, beta, gamma, iota, jota) == []
 
     def test_covering_required(self):
         alpha = beta = Composition([1])
         gamma = Composition([1, 1])
-        iota = jota = OrderedInjection((1,), 2)
+        iota = jota = (1,)
         assert enumerate_skylines(alpha, beta, gamma, iota, jota) == []
 
     def test_size_mismatch_rejected(self):
@@ -337,8 +346,8 @@ class TestEnumerateSkylines:
             Composition(),
             Composition(),
             Composition(),
-            OrderedInjection((), 0),
-            OrderedInjection((), 0),
+            (),
+            (),
         )
         assert len(skylines) == 1 and skylines[0].weight(PAPER) == one()
 
