@@ -59,7 +59,15 @@ from .tableaux import (
     cp_product,
     enumerate_skylines,
 )
-from .polynomial import XYPolynomial, _add_into, _check_degree, _mul_into, zero
+from .polynomial import (
+    _UNIT_TERMS,
+    XYPolynomial,
+    _add_into,
+    _check_degree,
+    _mul_into,
+    _mul_terms,
+    zero,
+)
 
 
 class StructureCoefficient(NamedTuple):
@@ -222,26 +230,60 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
 
 def _product_cells(alpha: Composition, beta: Composition) -> dict:
     """The nonzero cell coordinates of M_alpha * M_beta, keyed by
-    (c_1, ..., c_n).  A state (k, m, cell prefix) has placed alpha[:k]
-    and beta[:m]; the next position takes nothing, alpha[k], beta[m] or
-    both, with each c of e(a, b), while the remaining parts still fit.
+    (c_1, ..., c_n).  The walk fills the x-positions in order.  Its
+    states are keyed by lattice point: (k, m), having placed alpha[:k]
+    and beta[:m], maps each cell prefix to its terms dict.  The next
+    position takes nothing, alpha[k], beta[m] or both, with each c of
+    e(a, b), while the remaining parts still fit; each move's bounds
+    and list e(a, b) are found once per lattice point, not per prefix.
     A step adds a + b - c <= min(a, b) to the degree, so one check of
-    the limit covers the walk."""
+    the limit covers the walk.
+
+    Values are shared, not copied, until a second write.  A cell's
+    first contribution through a unit coordinate (nothing, a lone part,
+    or the top c = a + b of a merge) stores the predecessor's dict as
+    it is; its first contribution through any other coordinate is a
+    fresh product.  A later contribution first copies a dict that this
+    step did not build, then adds into the copy in place, so no dict is
+    changed once another state holds it."""
     _check_degree(min(alpha.size(), beta.size()))
-    e = {(a, b): _cell_product(a, b) for a in {0, *alpha} for b in {0, *beta}}
+    # e(a, b) as (c, coordinate) pairs, None for the unit coordinate
+    e = {
+        (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
+        for a in {0, *alpha}
+        for b in {0, *beta}
+    }
     la, lb = len(alpha), len(beta)
-    states = {(0, 0, ()): {0: 1}}
+    states = {(0, 0): {(): {0: 1}}}
     for left in range(la + lb - 1, -1, -1):
-        walked = {}
-        for (k, m, prefix), terms in states.items():
+        walked: dict[tuple[int, int], dict] = {}
+        built: set[int] = set()  # ids of the dicts this step made
+        for (k, m), table in states.items():
             for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
-                if la - left <= k2 <= la and lb - left <= m2 <= lb:
-                    ab = (alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0)
-                    for c, coordinate in e[ab]:
-                        out = walked.setdefault((k2, m2, prefix + (c,)), {})
-                        _mul_into(out, terms, coordinate)
+                if not (la - left <= k2 <= la and lb - left <= m2 <= lb):
+                    continue
+                out = walked.setdefault((k2, m2), {})
+                get = out.get
+                for c, coordinate in e[alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0]:
+                    for prefix, terms in table.items():
+                        cell = prefix + (c,)
+                        old = get(cell)
+                        if old is None:
+                            if coordinate is None:
+                                out[cell] = terms
+                            else:
+                                out[cell] = old = _mul_terms(terms, coordinate)
+                                built.add(id(old))
+                            continue
+                        if id(old) not in built:
+                            out[cell] = old = dict(old)
+                            built.add(id(old))
+                        if coordinate is None:
+                            _add_into(old, terms)
+                        else:
+                            _mul_into(old, terms, coordinate)
         states = walked
-    return {cell: XYPolynomial._raw(t) for (_, _, cell), t in states.items() if t}
+    return {cell: XYPolynomial._raw(t) for cell, t in states[la, lb].items() if t}
 
 
 def verify_expansion(

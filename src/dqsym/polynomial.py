@@ -41,7 +41,10 @@ into ``out`` in place; ``_mul_terms(a, b)`` returns a * b as a new
 dict, shifting keys for a one-term factor as ``*`` does;
 ``_mul_into(out, a, b)`` adds a * b into ``out`` in place.  The two
 in-place helpers drop the keys that cancel.  None of them checks the
-degree limit: a caller checks it first, as ``*`` does.
+degree limit: a caller checks it first, as ``*`` does.  Both walks
+share values and copy on the second write: a key's first contribution
+stores a value as it is, or a fresh ``_mul_terms`` product, and only a
+later one copies a shared dict before adding into it in place.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher

@@ -165,13 +165,13 @@ def _placements(
     coordinates or miss one, or None."""
     by_parts: dict[tuple[int, ...], dict[tuple[int, ...], XYPolynomial]] = {}
     for cell, coordinate in coordinates.items():
-        at = by_parts.setdefault(tuple(a for a in cell if a), {})
-        at[tuple(i for i, a in enumerate(cell, 1) if a)] = coordinate
+        at = by_parts.setdefault(tuple(filter(None, cell)), {})
+        at[tuple(itertools.compress(itertools.count(1), cell))] = coordinate
     found = {Composition._raw(parts): at for parts, at in by_parts.items()}
     for gamma, at in found.items():
         first = min(at)
-        value = at[first]
-        differing = [pl for pl, c in at.items() if c != value]
+        value = at[first].terms
+        differing = [pl for pl, c in at.items() if c.terms != value]
         if differing:
             return found, (
                 f"{gamma} has one coordinate at x-indices {first} and "
@@ -243,6 +243,8 @@ class Expansion:
                     raise TypeError("keys must be Composition instances")
                 if isinstance(value, int):
                     value = constant(value)
+                elif not isinstance(value, XYPolynomial):
+                    raise TypeError("coefficients must be polynomials or integers")
                 if not value.is_x_free():
                     raise ValueError(f"coefficient of {composition} involves x")
                 if value:
@@ -303,6 +305,8 @@ class Expansion:
         """Multiply every coefficient by an x-free polynomial or integer."""
         if isinstance(factor, int):
             factor = constant(factor)
+        elif not isinstance(factor, XYPolynomial):
+            raise TypeError("scale factor must be a polynomial or an integer")
         if not factor.is_x_free():
             raise ValueError("scale factor must be x-free")
         scaled = {}

@@ -16,8 +16,8 @@ from dqsym.lrcalc import (
     support_candidates,
     verify_expansion,
 )
-from dqsym.polynomial import XYPolynomial, one, x_var, y_var, zero
-from dqsym.qsym import Expansion
+from dqsym.polynomial import XYPolynomial, _cell_coordinates, one, x_var, y_var, zero
+from dqsym.qsym import Expansion, double_monomial
 from dqsym.tableaux import WeightConvention
 
 from oracles import (
@@ -376,6 +376,16 @@ class TestVerifyExpansion:
                 assert passed == product_route_verify(alpha, beta, PAPER)
                 outcomes[passed] += 1
         assert outcomes == {True: 15, False: 49}
+
+    def test_cell_walk_matches_product_cells(self):
+        # the shared-value walk against the cells of the product itself,
+        # converted one x-variable at a time, dict for dict
+        for alpha in self.SWEEP:
+            for beta in self.SWEEP:
+                ctx = for_product(alpha, beta)
+                product = double_monomial(alpha, ctx) * double_monomial(beta, ctx)
+                expected = _cell_coordinates(product, len(alpha) + len(beta))
+                assert lrcalc._product_cells(alpha, beta) == expected
 
     def test_sweep_rejects_paper_literal(self):
         passed = [

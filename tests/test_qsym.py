@@ -273,6 +273,14 @@ class TestExpansion:
         with pytest.raises(ValueError):
             Expansion({Composition([1]): x_var(1)})
 
+    @pytest.mark.parametrize("value", [2.5, "a", None, True], ids=repr)
+    def test_non_integer_coefficient_is_a_type_error(self, value):
+        # a bool is refused by constant, the others before is_x_free is read
+        with pytest.raises(TypeError, match="integer"):
+            Expansion({Composition([1]): value})
+        with pytest.raises(TypeError, match="integer"):
+            Expansion({Composition([2]): one()}).scale(value)
+
     def test_lookup_default(self):
         e = Expansion({Composition([2]): one()})
         assert e[Composition([3])] == zero()
