@@ -77,10 +77,9 @@ def _dump(value) -> None:
 
 # Coefficient tables are written as JSON text built by hand, with the
 # key order and separators of json.dumps: a composition's parts by
-# _parts_text, a coefficient's records by a RecordsEncoder, one per
-# product command and one per alpha row of a table.  A table renders
-# each distinct gamma once, into a _PartsTexts that lives as long as
-# the command.
+# _parts_text, a coefficient's records by one RecordsEncoder per
+# command.  A table renders each distinct gamma once, into a
+# _PartsTexts that lives as long as the command.
 
 
 def _parts_text(composition: Composition) -> str:
@@ -267,13 +266,12 @@ def cmd_table(args) -> int:
     compositions = _sweep(args.max_size, max_length)
     tables = _SweepTables(args.max_size, max_length)
     gamma_text = _PartsTexts()
+    encode = RecordsEncoder().encode
     write = sys.stdout.write
     if args.format == "human":
         _banner(args)
     for alpha in compositions:
         tables.start_row(alpha)
-        # one encoder per row bounds its memos by the row's coefficients
-        encode = RecordsEncoder().encode
         pair_head = f'{{"alpha": {_parts_text(alpha)}, "beta": '
         for beta in compositions:
             rows = expansion_records(

@@ -229,9 +229,9 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
 
 
 def _product_cells(alpha: Composition, beta: Composition) -> dict:
-    """The nonzero cell coordinates of M_alpha * M_beta, keyed by
-    (c_1, ..., c_n).  The walk fills the x-positions in order.  Its
-    states are keyed by lattice point: (k, m), having placed alpha[:k]
+    """The nonzero cell coordinates of M_alpha * M_beta as terms dicts,
+    keyed by (c_1, ..., c_n).  The walk fills the x-positions in order.
+    Its states are keyed by lattice point: (k, m), having placed alpha[:k]
     and beta[:m], maps each cell prefix to its terms dict.  The next
     position takes nothing, alpha[k], beta[m] or both, with each c of
     e(a, b), while the remaining parts still fit; each move's bounds
@@ -283,7 +283,7 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
                         else:
                             _mul_into(old, terms, coordinate)
         states = walked
-    return {cell: XYPolynomial._raw(t) for cell, t in states[la, lb].items() if t}
+    return {cell: t for cell, t in states[la, lb].items() if t}
 
 
 def verify_expansion(
@@ -298,8 +298,10 @@ def verify_expansion(
     found, mismatch = _placements(_product_cells(alpha, beta), len(alpha) + len(beta))
     if mismatch is not None:
         return False
-    coordinates = {gamma: next(iter(at.values())) for gamma, at in found.items()}
-    return coordinates == product_expand(alpha, beta, convention).coeffs
+    coeffs = product_expand(alpha, beta, convention).coeffs
+    return found.keys() == coeffs.keys() and all(
+        next(iter(at.values())) == coeffs[gamma].terms for gamma, at in found.items()
+    )
 
 
 def expansion_records(

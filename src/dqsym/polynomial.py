@@ -56,16 +56,18 @@ Coordinates.  ``_x_coordinates`` groups terms by x-part, giving their
 coordinates in the Z[y]-basis of x-monomials.  ``_cell_coordinates``
 first trades x-exponents for y-variables on the packed keys, giving the
 Z[y]-basis prod_i phi_{a_i}(x_i), phi_a(x) = (x - y_1) ... (x - y_a).
-``qsym`` reads the M-expansion and quasisymmetry off these coordinates.
+Both give each coordinate as a terms dict.  ``qsym`` reads the
+M-expansion and quasisymmetry off these coordinates.
 
 Serialization.  ``to_records`` gives a polynomial's JSON-ready term
 records.  ``RecordsEncoder`` writes the JSON text of those records
 straight from the packed terms, equal to ``json.dumps`` of them.  For
 as long as the encoder lives it remembers the text of each polynomial
 value it has encoded and, behind that, each monomial's sort key and
-text.  The CLI's ``table`` command makes one encoder per alpha row, so
-both memos hold at most one row's coefficients; ``product`` makes one
-per command.
+text.  The CLI's ``table`` and ``product`` commands make one encoder
+per command, so each distinct coefficient of a command is encoded once
+and both memos grow with the command's distinct coefficients: time
+bought with memory that its output already bounds.
 """
 
 from __future__ import annotations
@@ -528,14 +530,16 @@ _set_terms = XYPolynomial.terms.__set__
 _set_hash = XYPolynomial._hash.__set__
 
 
-def _cell_coordinates(p: XYPolynomial, n_x: int) -> dict[tuple[int, ...], XYPolynomial]:
+def _cell_coordinates(
+    p: XYPolynomial, n_x: int
+) -> dict[tuple[int, ...], dict[int, int]]:
     """The coordinates of ``p`` in the cell basis prod_i phi_{a_i}(x_i),
     where phi_a(x) = (x - y_1) ... (x - y_a).
 
-    Keyed by (a_1, ..., a_n_x), each value the nonzero x-free
-    coefficient of that basis element; ``p`` must use no x-variable
-    past x_n_x.  Each phi_a is monic of degree a, so the products form
-    a Z[y]-basis and the coordinates are unique.
+    Keyed by (a_1, ..., a_n_x), each value the terms dict of the nonzero
+    x-free coefficient of that basis element; ``p`` must use no
+    x-variable past x_n_x.  Each phi_a is monic of degree a, so the
+    products form a Z[y]-basis and the coordinates are unique.
 
     The terms are converted one x-variable at a time, by the conversion
     to the Newton basis with nodes y_1, y_2, ...: bucketed by their
@@ -578,10 +582,11 @@ def _cell_coordinates(p: XYPolynomial, n_x: int) -> dict[tuple[int, ...], XYPoly
 
 def _x_coordinates(
     terms: Mapping[int, int], n_x: int
-) -> dict[tuple[int, ...], XYPolynomial]:
+) -> dict[tuple[int, ...], dict[int, int]]:
     """The terms grouped by x-part, x stripped from each key: keyed by
-    (e_1, ..., e_n_x), the nonzero x-free coefficient of x_1^e_1 ...
-    x_n_x^e_n_x.  ``terms`` must use no x-variable past x_n_x."""
+    (e_1, ..., e_n_x), the terms dict of the nonzero x-free coefficient
+    of x_1^e_1 ... x_n_x^e_n_x.  ``terms`` must use no x-variable past
+    x_n_x."""
     x_mask, y_mask = _masks(_width(terms))
     groups: dict[int, dict[int, int]] = {}
     for key, c in terms.items():
@@ -592,7 +597,7 @@ def _x_coordinates(
         group[_x_free_key(key, y_mask)] = c
     width = 2 * n_x + 1
     return {
-        tuple(x_part.to_bytes(width, "little")[2::2]): XYPolynomial._raw(group)
+        tuple(x_part.to_bytes(width, "little")[2::2]): group
         for x_part, group in groups.items()
     }
 
@@ -613,8 +618,8 @@ class RecordsEncoder:
     monomial it has met, the monomial's canonical sort key and its
     ``"x": [...], "y": [...]`` text, so coefficients that share
     monomials build each monomial's text once.  Both memos grow with
-    what the encoder meets, so an encoder should live no longer than one
-    row of a table.
+    the distinct values and monomials the encoder meets, and are never
+    cleared.
     """
 
     __slots__ = ("_monomials", "_texts")

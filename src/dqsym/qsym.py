@@ -157,21 +157,21 @@ def _check_variables(p: XYPolynomial, ctx: TruncationContext) -> None:
 
 
 def _placements(
-    coordinates: Mapping[tuple[int, ...], XYPolynomial], n_x: int
-) -> tuple[dict[Composition, dict[tuple[int, ...], XYPolynomial]], str | None]:
-    """Coordinates grouped as gamma -> placement -> coordinate, a key
-    (a_1, ..., a_n_x) placing its nonzero entries at their x-indices;
-    and a message naming the first gamma whose placements have two
-    coordinates or miss one, or None."""
-    by_parts: dict[tuple[int, ...], dict[tuple[int, ...], XYPolynomial]] = {}
+    coordinates: Mapping[tuple[int, ...], dict[int, int]], n_x: int
+) -> tuple[dict[Composition, dict[tuple[int, ...], dict[int, int]]], str | None]:
+    """Coordinates, as terms dicts, grouped as gamma -> placement ->
+    coordinate, a key (a_1, ..., a_n_x) placing its nonzero entries at
+    their x-indices; and a message naming the first gamma whose
+    placements have two coordinates or miss one, or None."""
+    by_parts: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
     for cell, coordinate in coordinates.items():
         at = by_parts.setdefault(tuple(filter(None, cell)), {})
         at[tuple(itertools.compress(itertools.count(1), cell))] = coordinate
     found = {Composition._raw(parts): at for parts, at in by_parts.items()}
     for gamma, at in found.items():
         first = min(at)
-        value = at[first].terms
-        differing = [pl for pl, c in at.items() if c.terms != value]
+        value = at[first]
+        differing = [pl for pl, c in at.items() if c != value]
         if differing:
             return found, (
                 f"{gamma} has one coordinate at x-indices {first} and "
@@ -361,6 +361,9 @@ def expand_in_M(p: XYPolynomial, ctx: TruncationContext) -> Expansion:
     if mismatch is not None:
         raise NotInSpan(mismatch)
     return Expansion._raw(
-        {gamma: next(iter(at.values())) for gamma, at in found.items()}
+        {
+            gamma: XYPolynomial._raw(next(iter(at.values())))
+            for gamma, at in found.items()
+        }
     )
 

@@ -427,9 +427,9 @@ def product_route_verify(alpha, beta, convention=DEFAULT_CONVENTION) -> bool:
 
 
 def one_variable_cell_product(a, b):
-    """The one-variable cell coordinates of phi_a * phi_b, {c: value},
-    read off the expanded product of the two cell classes, where the
-    library multiplies phi_a by one x - y_j at a time in cell
+    """The one-variable cell coordinates of phi_a * phi_b, {c: terms
+    dict}, read off the expanded product of the two cell classes, where
+    the library multiplies phi_a by one x - y_j at a time in cell
     coordinates."""
     product = cell_class(a, 1) * cell_class(b, 1)
     return {c: value for (c,), value in _cell_coordinates(product, 1).items()}

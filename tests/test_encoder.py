@@ -138,3 +138,40 @@ class TestTableText:
             [{"gamma": r.gamma.to_list(), "coeff": r.value.to_records()} for r in rows]
         )
         assert capsys.readouterr().out == expected + "\n"
+
+
+class TestOneEncoderPerCommand:
+    @pytest.fixture
+    def encoders(self, monkeypatch):
+        """The encoders the CLI builds, each counting the values it
+        encodes for real, missing its value memo."""
+        built = []
+
+        class Counting(RecordsEncoder):
+            def __init__(self):
+                super().__init__()
+                self.misses = 0
+                built.append(self)
+
+            def encode(self, p):
+                if p not in self._texts:
+                    self.misses += 1
+                return super().encode(p)
+
+        monkeypatch.setattr(cli, "RecordsEncoder", Counting)
+        return built
+
+    @pytest.mark.parametrize("convention", [c.value for c in WeightConvention])
+    def test_table_encodes_each_distinct_value_once(self, capsys, encoders, convention):
+        argv = ["table", "--max-size", "4", "--max-length", "3", "--format", "json"]
+        assert cli.main(argv + ["--convention", convention]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        distinct = {json.dumps(json.loads(line)["coeff"]) for line in lines}
+        assert len(encoders) == 1
+        # each value is encoded once for the whole table, not once per row
+        assert encoders[0].misses == len(distinct) < len(lines)
+
+    def test_product_builds_one_encoder(self, capsys, encoders):
+        assert cli.main(["product", "1,2", "2,1,1", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(encoders) == 1

@@ -7,6 +7,10 @@ puts the originals back.  A rename or deletion in the package would
 break ``python3 bench/run.py --trace 1``, so this loads the tracer by
 path and checks that every name it wraps resolves, is wrapped, counts
 its calls, and is restored.
+
+``bench/child.py`` times each operation of the table-export workload
+from one call of ``cli.expansion_records`` to the next, so ``table``
+must make exactly that call once per (alpha, beta) pair, in sweep order.
 """
 
 import importlib.util
@@ -97,3 +101,21 @@ def test_tracer_wraps_and_restores_every_name(capsys):
     assert tracer.counts["compositions.injections_built"] > 0
     values = tracer_module.layer_values(tracer)
     assert set(values) == set(tracer_module.LAYER_METRICS)
+
+
+def test_table_calls_expansion_records_once_per_pair(monkeypatch, capsys):
+    pairs = []
+    expansion_records = cli.expansion_records
+
+    def recorded(alpha, beta, *args, **kwargs):
+        pairs.append((alpha, beta))
+        return expansion_records(alpha, beta, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "expansion_records", recorded)
+    for form in ("json", "human"):
+        pairs.clear()
+        argv = ["table", "--max-size", "3", "--max-length", "2", "--format", form]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        sweep = cli._sweep(3, 2)
+        assert pairs == [(alpha, beta) for alpha in sweep for beta in sweep]
