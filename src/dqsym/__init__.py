@@ -37,7 +37,6 @@ from .tableaux import (
     row_weight_sum,
 )
 from .lrcalc import (
-    StructureCoefficient,
     expansion_records,
     product_expand,
     skyline_census,
@@ -57,7 +56,6 @@ __all__ = [
     "NotInSpan",
     "SkewEdgeTableau",
     "SkylineTableau",
-    "StructureCoefficient",
     "TruncationContext",
     "TruncationTooSmall",
     "WeightConvention",

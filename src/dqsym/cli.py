@@ -107,8 +107,8 @@ def cmd_product(args) -> int:
             "["
             + ", ".join(
                 [
-                    f'{{"gamma": {_parts_text(r.gamma)}, "coeff": {encode(r.value)}}}'
-                    for r in rows
+                    f'{{"gamma": {_parts_text(gamma)}, "coeff": {encode(value)}}}'
+                    for gamma, value in rows
                 ]
             )
             + "]"
@@ -116,8 +116,8 @@ def cmd_product(args) -> int:
     else:
         _banner(args)
         print(f"M{alpha} * M{beta} =")
-        for row in rows:
-            print(f"  M{row.gamma} * ({row.value})")
+        for gamma, value in rows:
+            print(f"  M{gamma} * ({value})")
     return 0
 
 
@@ -286,14 +286,14 @@ def cmd_table(args) -> int:
                 write(
                     "".join(
                         [
-                            f'{head}{gamma_text[r.gamma]}, "coeff": {encode(r.value)}}}\n'
-                            for r in rows
+                            f'{head}{gamma_text[gamma]}, "coeff": {encode(value)}}}\n'
+                            for gamma, value in rows
                         ]
                     )
                 )
             else:
-                for row in rows:
-                    print(f"c[{row.alpha}, {row.beta} -> {row.gamma}] = {row.value}")
+                for gamma, value in rows:
+                    print(f"c[{alpha}, {beta} -> {gamma}] = {value}")
     return 0
 
 

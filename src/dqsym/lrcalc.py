@@ -44,7 +44,7 @@ x-variables than n.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .compositions import (
     Composition,
@@ -66,29 +66,9 @@ from .polynomial import (
     _check_degree,
     _mul_into,
     _mul_terms,
+    _y_key,
     zero,
 )
-
-
-class StructureCoefficient(NamedTuple):
-    """One entry of a coefficient table: the coefficient ``value`` of
-    M_gamma in M_alpha * M_beta, written in ``convention``.  A named
-    tuple, so it is immutable and a table of many rows is cheap to
-    build."""
-
-    alpha: Composition
-    beta: Composition
-    gamma: Composition
-    value: XYPolynomial
-    convention: WeightConvention
-
-    def to_record(self) -> dict:
-        return {
-            "alpha": self.alpha.to_list(),
-            "beta": self.beta.to_list(),
-            "gamma": self.gamma.to_list(),
-            "coeff": self.value.to_records(),
-        }
 
 
 def _in_convention(
@@ -219,11 +199,11 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
         a, b = b, a
     coords = [(a, {0: 1})]
     for j in range(1, b + 1):
-        y_j = 1 << 16 * j + 8 | 1  # packed keys: y_j, and y_{c+1} below
+        y_j = _y_key(j)
         stepped: dict[int, dict[int, int]] = {}
         for c, terms in coords:
             _add_into(stepped.setdefault(c + 1, {}), terms)
-            _mul_into(stepped.setdefault(c, {}), terms, {1 << 16 * c + 24 | 1: 1, y_j: -1})
+            _mul_into(stepped.setdefault(c, {}), terms, {_y_key(c + 1): 1, y_j: -1})
         coords = [(c, terms) for c, terms in stepped.items() if terms]
     return coords
 
@@ -239,13 +219,17 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
     A step adds a + b - c <= min(a, b) to the degree, so one check of
     the limit covers the walk.
 
-    Values are shared, not copied, until a second write.  A cell's
-    first contribution through a unit coordinate (nothing, a lone part,
-    or the top c = a + b of a merge) stores the predecessor's dict as
-    it is; its first contribution through any other coordinate is a
-    fresh product.  A later contribution first copies a dict that this
-    step did not build, then adds into the copy in place, so no dict is
-    changed once another state holds it."""
+    Values are shared, not copied, until a second write.  Each step
+    visits the states in increasing k + m, so a lattice point's merge
+    predecessor (k - 1, m - 1) comes before its others, and the merge's
+    cells are distinct: a contribution through a non-unit coordinate (a
+    merge's c < a + b) is always a cell's first, stored as a fresh
+    product.  A first contribution through the unit coordinate (nothing,
+    a lone part, or a merge's top c = a + b) stores the predecessor's
+    dict as it is.  So every later contribution is through the unit
+    coordinate: it copies a dict that this step did not build, then
+    adds into the copy in place, so no dict is changed once another
+    state holds it."""
     _check_degree(min(alpha.size(), beta.size()))
     # e(a, b) as (c, coordinate) pairs, None for the unit coordinate
     e = {
@@ -258,7 +242,8 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
     for left in range(la + lb - 1, -1, -1):
         walked: dict[tuple[int, int], dict] = {}
         built: set[int] = set()  # ids of the dicts this step made
-        for (k, m), table in states.items():
+        for k, m in sorted(states, key=sum):
+            table = states[k, m]
             for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
                 if not (la - left <= k2 <= la and lb - left <= m2 <= lb):
                     continue
@@ -278,10 +263,7 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
                         if id(old) not in built:
                             out[cell] = old = dict(old)
                             built.add(id(old))
-                        if coordinate is None:
-                            _add_into(old, terms)
-                        else:
-                            _mul_into(old, terms, coordinate)
+                        _add_into(old, terms)
         states = walked
     return {cell: t for cell, t in states[la, lb].items() if t}
 
@@ -310,20 +292,17 @@ def expansion_records(
     convention: WeightConvention = DEFAULT_CONVENTION,
     explicit_zeros: bool = False,
     tables=None,
-) -> list[StructureCoefficient]:
-    """Table rows for one product, optionally padded with zero entries
-    for every candidate composition in the support bounds.  ``tables``
-    is passed to ``product_expand``."""
+) -> list[tuple[Composition, XYPolynomial]]:
+    """Table rows for one product, as (gamma, coefficient) pairs in the
+    canonical order: the expansion's ``items``, or with
+    ``explicit_zeros`` every composition of ``support_candidates``, a
+    zero coefficient where gamma is outside the support.  ``tables`` is
+    passed to ``product_expand``."""
     expansion = product_expand(alpha, beta, convention, tables)
-    if explicit_zeros:
-        compositions = support_candidates(alpha, beta)
-    else:
-        compositions = expansion.support()
+    if not explicit_zeros:
+        return expansion.items()
     coeffs = expansion.coeffs
     nothing = zero()
     return [
-        StructureCoefficient(
-            alpha, beta, gamma, coeffs.get(gamma, nothing), convention
-        )
-        for gamma in compositions
+        (gamma, coeffs.get(gamma, nothing)) for gamma in support_candidates(alpha, beta)
     ]

@@ -158,6 +158,11 @@ def _pack(x: ExponentPairs, y: ExponentPairs) -> int:
     return key
 
 
+def _y_key(j: int) -> int:
+    """The packed key of y_j."""
+    return 1 << 16 * j + 8 | 1
+
+
 def _width(keys) -> int:
     """Bytes needed for the widest of ``keys``."""
     return (max(keys, default=0).bit_length() + 7) // 8
@@ -674,7 +679,7 @@ def y_var(index: int) -> XYPolynomial:
     """The variable y_index as a polynomial."""
     if not _is_int(index) or index < 1:
         raise ValueError("index must be a positive integer")
-    return XYPolynomial._raw({1 | 1 << 16 * index + 8: 1})
+    return XYPolynomial._raw({_y_key(index): 1})
 
 
 _ZERO = XYPolynomial._raw({})

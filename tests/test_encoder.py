@@ -100,10 +100,17 @@ class TestRecordsEncoder:
 def expected_table_lines(max_size, max_length, convention, explicit_zeros):
     compositions = cli._sweep(max_size, max_length)
     return [
-        json.dumps(row.to_record())
+        json.dumps(
+            {
+                "alpha": alpha.to_list(),
+                "beta": beta.to_list(),
+                "gamma": gamma.to_list(),
+                "coeff": value.to_records(),
+            }
+        )
         for alpha in compositions
         for beta in compositions
-        for row in expansion_records(alpha, beta, convention, explicit_zeros)
+        for gamma, value in expansion_records(alpha, beta, convention, explicit_zeros)
     ]
 
 
@@ -135,7 +142,10 @@ class TestTableText:
             alpha, beta, WeightConvention(convention), explicit_zeros
         )
         expected = json.dumps(
-            [{"gamma": r.gamma.to_list(), "coeff": r.value.to_records()} for r in rows]
+            [
+                {"gamma": gamma.to_list(), "coeff": value.to_records()}
+                for gamma, value in rows
+            ]
         )
         assert capsys.readouterr().out == expected + "\n"
 

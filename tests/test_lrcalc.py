@@ -8,7 +8,6 @@ import pytest
 from dqsym import lrcalc
 from dqsym.compositions import Composition, enumerate_compositions, overlapping_shuffles
 from dqsym.lrcalc import (
-    StructureCoefficient,
     expansion_records,
     product_expand,
     skyline_census,
@@ -472,28 +471,39 @@ class TestEquivariantPositivity:
 
 
 class TestExpansionRecords:
+    SWEEP = compositions_up_to(4, 3)
+
     def test_nonzero_rows(self):
         rows = expansion_records(Composition([1]), Composition([1]))
-        assert [r.gamma.parts for r in rows] == [(1,), (2,), (1, 1)]
-        assert all(r.convention is ORACLE for r in rows)
-        assert rows[0].value == y_var(2) - y_var(1)
+        assert [gamma.parts for gamma, _ in rows] == [(1,), (2,), (1, 1)]
+        assert rows[0] == (Composition([1]), y_var(2) - y_var(1))
 
     def test_explicit_zeros(self):
         alpha, beta = Composition([2]), Composition([1])
         rows = expansion_records(alpha, beta, ORACLE, explicit_zeros=True)
-        assert [r.gamma.parts for r in rows] == [(2,), (1, 1), (3,), (1, 2), (2, 1)]
-        by_gamma = {r.gamma: r.value for r in rows}
+        assert [gamma.parts for gamma, _ in rows] == [(2,), (1, 1), (3,), (1, 2), (2, 1)]
+        by_gamma = dict(rows)
         assert by_gamma[Composition([1, 1])] == zero()
         assert by_gamma[Composition([2])] == y_var(3) - y_var(1)
         dense = expansion_records(alpha, beta, ORACLE)
         assert len(dense) == 4
 
+    @pytest.mark.parametrize("convention", [ORACLE, PAPER], ids=lambda c: c.value)
+    def test_rows_are_expansion_pairs(self, convention):
+        # a row is (gamma, coefficient): the expansion's items, or with
+        # explicit zeros every support candidate, padded with zero
+        for alpha in self.SWEEP:
+            for beta in self.SWEEP:
+                expansion = product_expand(alpha, beta, convention)
+                rows = expansion_records(alpha, beta, convention)
+                assert rows == expansion.items()
+                padded = [
+                    (gamma, expansion.coeffs.get(gamma, zero()))
+                    for gamma in support_candidates(alpha, beta)
+                ]
+                assert expansion_records(alpha, beta, convention, True) == padded
+
     def test_serialized_form(self):
-        row = expansion_records(Composition([1]), Composition([1]), PAPER)[0]
-        record = row.to_record()
-        assert record["alpha"] == [1] and record["beta"] == [1] and record["gamma"] == [1]
-        assert XYPolynomial.from_records(record["coeff"]) == y_var(1) - y_var(2)
-        rebuilt = StructureCoefficient(
-            row.alpha, row.beta, row.gamma, XYPolynomial.from_records(record["coeff"]), PAPER
-        )
-        assert rebuilt == row
+        gamma, value = expansion_records(Composition([1]), Composition([1]), PAPER)[0]
+        assert gamma.to_list() == [1]
+        assert XYPolynomial.from_records(value.to_records()) == y_var(1) - y_var(2)
