@@ -38,12 +38,20 @@ over placement pairs.  The cells are a Z[y]-basis (phi_c is monic of
 degree c) in which M_gamma has coordinate 1 at each placement of gamma
 and 0 elsewhere, and coordinates are unique: the identity holds in
 Z[x_1..x_n; y] exactly when every placement of every gamma carries
-c_gamma and no other cell is nonzero.  Nothing is claimed for more
-x-variables than n.
+c_gamma and no other cell is nonzero.  A cell's gamma is its nonzero
+entries, and its placement is where they stand, so distinct cells of
+one gamma are distinct placements.  Hence it is enough to count: the
+identity holds exactly when every nonzero cell carries the coefficient
+of its gamma, no gamma of the table has more than n parts, and the
+nonzero cells number sum_gamma C(n, len(gamma)) over the table.  The
+check reads each cell as the last x-position is stepped, and no dict
+of all cells is built.  Nothing is claimed for more x-variables
+than n.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .compositions import (
@@ -52,10 +60,11 @@ from .compositions import (
     enumerate_injections,
     routing_outcomes,
 )
-from .qsym import Expansion, _placements
+from .qsym import Expansion
 from .tableaux import (
     DEFAULT_CONVENTION,
     WeightConvention,
+    _check_convention,
     cp_product,
     enumerate_skylines,
 )
@@ -113,6 +122,7 @@ def structure_coefficient(
     skyline's rows are chosen independently, so the skyline sum
     factors row by row.
     """
+    _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
     value = outcomes.get(tuple(gamma), zero())
     return _in_convention(value, alpha, beta, gamma, convention)
@@ -174,6 +184,7 @@ def product_expand(
     result is built unchecked; only the sums that cancel to zero are
     dropped.
     """
+    _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, tables)
     if convention is WeightConvention.PAPER_LITERAL:
         outcomes = {
@@ -208,16 +219,44 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
     return coords
 
 
-def _product_cells(alpha: Composition, beta: Composition) -> dict:
-    """The nonzero cell coordinates of M_alpha * M_beta as terms dicts,
-    keyed by (c_1, ..., c_n).  The walk fills the x-positions in order.
-    Its states are keyed by lattice point: (k, m), having placed alpha[:k]
-    and beta[:m], maps each cell prefix to its terms dict.  The next
-    position takes nothing, alpha[k], beta[m] or both, with each c of
-    e(a, b), while the remaining parts still fit; each move's bounds
-    and list e(a, b) are found once per lattice point, not per prefix.
-    A step adds a + b - c <= min(a, b) to the degree, so one check of
-    the limit covers the walk.
+def _cell_table(alpha: Composition, beta: Composition) -> dict:
+    """e(a, b) as (c, coordinate) pairs, None for the unit coordinate,
+    for every pair of parts a position can take: 0 or a part of alpha,
+    and 0 or a part of beta."""
+    return {
+        (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
+        for a in {0, *alpha}
+        for b in {0, *beta}
+    }
+
+
+def _sum_tables(first: dict, second: dict) -> dict:
+    """Two prefix tables summed into a new one; a value of one table
+    alone is shared, and a sum is a fresh dict."""
+    total = dict(first)
+    for prefix, terms in second.items():
+        old = total.get(prefix)
+        if old is None:
+            total[prefix] = terms
+        else:
+            total[prefix] = old = dict(old)
+            _add_into(old, terms)
+    return total
+
+
+def _prefix_cells(alpha: Composition, beta: Composition, e: dict) -> dict:
+    """The cell prefixes of M_alpha * M_beta over the first n - 1
+    x-positions, n = len(alpha) + len(beta), by lattice point: (k, m),
+    having placed alpha[:k] and beta[:m], maps each prefix (c_1, ...,
+    c_{n-1}) to its terms dict, which may be empty where sums cancel.
+    Only the points from which the last position reaches (len(alpha),
+    len(beta)) are kept.  The walk fills the x-positions in order.  The
+    next position takes nothing, alpha[k], beta[m] or both, with each c
+    of e(a, b) from ``e`` (``_cell_table``), while the remaining parts
+    still fit; each move's bounds and list e(a, b) are found once per
+    lattice point, not per prefix.  A step adds a + b - c <= min(a, b)
+    to the degree, so the one check of the limit in
+    ``verify_expansion`` covers the walk.
 
     Values are shared, not copied, until a second write.  Each step
     visits the states in increasing k + m, so a lattice point's merge
@@ -230,16 +269,9 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
     coordinate: it copies a dict that this step did not build, then
     adds into the copy in place, so no dict is changed once another
     state holds it."""
-    _check_degree(min(alpha.size(), beta.size()))
-    # e(a, b) as (c, coordinate) pairs, None for the unit coordinate
-    e = {
-        (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
-        for a in {0, *alpha}
-        for b in {0, *beta}
-    }
     la, lb = len(alpha), len(beta)
     states = {(0, 0): {(): {0: 1}}}
-    for left in range(la + lb - 1, -1, -1):
+    for left in range(la + lb - 1, 0, -1):
         walked: dict[tuple[int, int], dict] = {}
         built: set[int] = set()  # ids of the dicts this step made
         for k, m in sorted(states, key=sum):
@@ -265,7 +297,7 @@ def _product_cells(alpha: Composition, beta: Composition) -> dict:
                             built.add(id(old))
                         _add_into(old, terms)
         states = walked
-    return {cell: t for cell, t in states[la, lb].items() if t}
+    return states
 
 
 def verify_expansion(
@@ -275,15 +307,78 @@ def verify_expansion(
 ) -> bool:
     """Whether M_alpha * M_beta = sum_gamma c_gamma * M_gamma holds in
     Z[x_1..x_n; y], n = len(alpha) + len(beta), for the table of
-    ``product_expand``: each gamma's placements among the cells of
-    ``_product_cells`` carry one coordinate (``qsym._placements``), c_gamma."""
-    found, mismatch = _placements(_product_cells(alpha, beta), len(alpha) + len(beta))
-    if mismatch is not None:
-        return False
+    ``product_expand``.
+
+    The first n - 1 positions are walked (``_prefix_cells``), and the
+    last is stepped here, one prefix at a time, without building the
+    cells.  The target (len(alpha), len(beta)) has four predecessors:
+    itself with c = 0, (k - 1, m) with c = alpha[-1], (k, m - 1) with
+    c = beta[-1], and (k - 1, m - 1) with each c of
+    e(alpha[-1], beta[-1]).  A prefix's gamma, its nonzero entries, is
+    read once, and the at most three contributions that land on one
+    cell are summed.  Each nonzero cell must carry the coefficient of
+    its gamma.  Distinct cells of one gamma are distinct placements, so
+    the matched cells cover every placement of every gamma of the table
+    exactly when no gamma has more than n parts and they number
+    sum_gamma C(n, len(gamma)); the cells not counted are zero, as the
+    identity needs.
+
+    Raises TypeError unless ``convention`` is a ``WeightConvention``,
+    and ValueError before any work when min(|alpha|, |beta|) passes
+    the packed-exponent limit."""
+    _check_convention(convention)
+    _check_degree(min(alpha.size(), beta.size()))
+    n = len(alpha) + len(beta)
     coeffs = product_expand(alpha, beta, convention).coeffs
-    return found.keys() == coeffs.keys() and all(
-        next(iter(at.values())) == coeffs[gamma].terms for gamma, at in found.items()
-    )
+    if any(len(gamma) > n for gamma in coeffs):
+        return False
+    get = {gamma: value.terms for gamma, value in coeffs.items()}.get
+    e = _cell_table(alpha, beta)
+    states = _prefix_cells(alpha, beta, e)
+    la, lb = len(alpha), len(beta)
+    cells = 0
+    # c = 0: only the target itself leads there, and the prefix holds
+    # the gamma (with n = 0 it is the empty cell itself)
+    for prefix, terms in states.get((la, lb), {}).items():
+        if terms:
+            if get(tuple(filter(None, prefix))) != terms:
+                return False
+            cells += 1
+    # a lone part's prefixes by its c, summed where the two parts are
+    # equal; a part is 0 where its composition is empty
+    a = alpha[-1] if la else 0
+    b = beta[-1] if lb else 0
+    lone: dict[int, dict] = {}
+    for c, point in ((a, (la - 1, lb)), (b, (la, lb - 1))):
+        table = states.get(point) if c else None
+        if table:
+            lone[c] = _sum_tables(lone[c], table) if c in lone else table
+    merged = states.get((la - 1, lb - 1), {}) if a and b else {}
+    # each c of e(a, b), with the lone prefixes that land on its cells
+    steps = [(c, coordinate, lone.get(c)) for c, coordinate in e[a, b]]
+    merge_cs = {c for c, _, _ in steps}
+    for prefix, terms in merged.items():
+        parts = tuple(filter(None, prefix))
+        for c, coordinate, other in steps:
+            value = terms if coordinate is None else _mul_terms(terms, coordinate)
+            if other is not None:
+                more = other.get(prefix)
+                if more:
+                    if coordinate is None:
+                        value = dict(value)
+                    _add_into(value, more)
+            if value:
+                if get(parts + (c,)) != value:
+                    return False
+                cells += 1
+    for c, table in lone.items():
+        summed = merged if c in merge_cs else {}
+        for prefix, terms in table.items():
+            if terms and prefix not in summed:
+                if get(tuple(filter(None, prefix)) + (c,)) != terms:
+                    return False
+                cells += 1
+    return cells == sum(math.comb(n, len(gamma)) for gamma in coeffs)
 
 
 def expansion_records(

@@ -35,16 +35,17 @@ largest total degree and checks the sum; a polynomial carries no
 degree of its own.
 
 Terms dicts.  The routing walk (``compositions.routing_outcomes``) and
-the certifier's cell walk (``lrcalc._product_cells``) sum and multiply
-on terms dicts, not on polynomials.  ``_add_into(out, a)`` adds ``a``
-into ``out`` in place; ``_mul_terms(a, b)`` returns a * b as a new
-dict, shifting keys for a one-term factor as ``*`` does;
-``_mul_into(out, a, b)`` adds a * b into ``out`` in place.  The two
-in-place helpers drop the keys that cancel.  None of them checks the
-degree limit: a caller checks it first, as ``*`` does.  Both walks
-share values and copy on the second write: a key's first contribution
-stores a value as it is, or a fresh ``_mul_terms`` product, and only a
-later one copies a shared dict before adding into it in place.
+the certifier's cell walk (``lrcalc._prefix_cells``, and the last step
+in ``lrcalc.verify_expansion``) sum and multiply on terms dicts, not
+on polynomials.  ``_add_into(out, a)`` adds ``a`` into ``out`` in
+place; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
+for a one-term factor as ``*`` does; ``_mul_into(out, a, b)`` adds
+a * b into ``out`` in place.  The two in-place helpers drop the keys
+that cancel.  None of them checks the degree limit: a caller checks it
+first, as ``*`` does.  Both walks share values and copy on the second
+write: a key's first contribution stores a value as it is, or a fresh
+``_mul_terms`` product, and only a later one copies a shared dict
+before adding into it in place.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher

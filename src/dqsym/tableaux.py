@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .compositions import Composition
 from .polynomial import XYPolynomial, _add_into, _check_degree, _is_int, one, y_var
@@ -50,23 +50,65 @@ class WeightConvention(enum.Enum):
 DEFAULT_CONVENTION = WeightConvention.ORACLE_CONSISTENT
 
 
-@dataclass(frozen=True)
-class SkewEdgeTableau:
+def _check_convention(convention) -> None:
+    """Raise TypeError unless ``convention`` is a ``WeightConvention``;
+    its string value names it only on the command line."""
+    if not isinstance(convention, WeightConvention):
+        raise TypeError(f"convention must be a WeightConvention, got {convention!r}")
+
+
+class _Record:
+    """Immutable fields named by ``__slots__``, compared, hashed and
+    shown as the tuple of their values; set once by ``_set``, in the
+    order of ``__slots__``."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class SkewEdgeTableau(_Record):
     """One row of ``outer`` boxes, the leftmost ``inner`` of them empty."""
+
+    __slots__ = ("outer", "inner", "edge_labels")
 
     outer: int
     inner: int
     edge_labels: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_labels", frozenset(self.edge_labels))
-        if not (_is_int(self.outer) and _is_int(self.inner) and 0 <= self.inner <= self.outer):
-            raise ValueError(f"need 0 <= inner <= outer, got {self.outer}/{self.inner}")
-        for position in self.edge_labels:
-            if not _is_int(position) or not 1 <= position <= self.inner:
+    def __init__(self, outer: int, inner: int, edge_labels: Iterable[int]):
+        edge_labels = frozenset(edge_labels)
+        if not (_is_int(outer) and _is_int(inner) and 0 <= inner <= outer):
+            raise ValueError(f"need 0 <= inner <= outer, got {outer}/{inner}")
+        for position in edge_labels:
+            if not _is_int(position) or not 1 <= position <= inner:
                 raise ValueError(
-                    f"edge labels must lie in [1, {self.inner}], got {position!r}"
+                    f"edge labels must lie in [1, {inner}], got {position!r}"
                 )
+        self._set(outer, inner, edge_labels)
 
     @property
     def content(self) -> int:
@@ -89,6 +131,10 @@ class SkewEdgeTableau:
         product of k distinct binomials has up to 2**k terms, so the
         check in ``*`` alone would fire only after about 2**255 terms.
         """
+        _check_convention(convention)
+        return self._weight(convention)
+
+    def _weight(self, convention: WeightConvention) -> XYPolynomial:
         _check_degree(len(self.edge_labels))
         result = one()
         for i in sorted(self.edge_labels):
@@ -136,7 +182,7 @@ def row_weight_sum(outer: int, inner: int, content: int) -> XYPolynomial:
     and content, added into one terms dict, not copied per tableau."""
     terms: dict[int, int] = {}
     for tableau in enumerate_tableaux(outer, inner, content):
-        _add_into(terms, tableau.weight(WeightConvention.ORACLE_CONSISTENT).terms)
+        _add_into(terms, tableau._weight(WeightConvention.ORACLE_CONSISTENT).terms)
     return XYPolynomial._raw(terms)
 
 
@@ -184,8 +230,7 @@ def _row_shapes(gamma, alpha, beta, iota, jota) -> list[tuple[int, int, int]]:
     return list(zip(gamma, *routed))
 
 
-@dataclass(frozen=True)
-class SkylineTableau:
+class SkylineTableau(_Record):
     """A stack of one-row tableaux recording one term of a product rule.
 
     Row i (1-based) has shape gamma_i / alpha_part and content
@@ -195,6 +240,8 @@ class SkylineTableau:
     images must cover every row.
     """
 
+    __slots__ = ("gamma", "alpha", "beta", "iota", "jota", "rows")
+
     gamma: Composition
     alpha: Composition
     beta: Composition
@@ -202,20 +249,29 @@ class SkylineTableau:
     jota: tuple[int, ...]
     rows: tuple[SkewEdgeTableau, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "iota", tuple(self.iota))
-        object.__setattr__(self, "jota", tuple(self.jota))
-        shapes = _row_shapes(self.gamma, self.alpha, self.beta, self.iota, self.jota)
-        if len(self.rows) != len(shapes):
+    def __init__(
+        self,
+        gamma: Composition,
+        alpha: Composition,
+        beta: Composition,
+        iota: Iterable[int],
+        jota: Iterable[int],
+        rows: tuple[SkewEdgeTableau, ...],
+    ):
+        iota, jota = tuple(iota), tuple(jota)
+        shapes = _row_shapes(gamma, alpha, beta, iota, jota)
+        if len(rows) != len(shapes):
             raise ValueError("need one row per part of gamma")
-        for i, (row, shape) in enumerate(zip(self.rows, shapes), start=1):
+        for i, (row, shape) in enumerate(zip(rows, shapes), start=1):
             if (row.outer, row.inner, row.content) != shape:
                 raise ValueError(f"row {i} does not match the routed shape and content")
+        self._set(gamma, alpha, beta, iota, jota, rows)
 
     def weight(self, convention: WeightConvention = DEFAULT_CONVENTION) -> XYPolynomial:
+        _check_convention(convention)
         result = one()
         for row in self.rows:
-            result = result * row.weight(convention)
+            result = result * row._weight(convention)
         return result
 
     def to_record(self) -> dict:

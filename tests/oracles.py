@@ -19,9 +19,14 @@ library compares the coordinates of placements.  The product route
 certifies a coefficient table by multiplying two whole double
 monomials in the truncation ``for_product`` and expanding the product
 with ``expand_in_M``, where the library reads the product's cell
-coordinates off one-variable products.  The one-variable oracle reads
-phi_a * phi_b off the two expanded cell classes, where the library
-steps through cell coordinates one linear factor at a time.
+coordinates off one-variable products.  The placements route builds
+every cell of the product in one dict, with no value shared, from the
+one-variable oracle, and regroups the cells by gamma and placement
+(``qsym._placements``), where the library shares values, steps the
+last x-position inside its check and counts the matched cells.  The
+one-variable oracle reads phi_a * phi_b off the two expanded cell
+classes, where the library steps through cell coordinates one linear
+factor at a time.
 """
 
 import itertools
@@ -29,13 +34,16 @@ import random
 from collections import Counter
 from functools import lru_cache
 
+from dqsym import lrcalc
 from dqsym.compositions import Composition, enumerate_compositions, enumerate_injections
 from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     XYPolynomial,
+    _add_into,
     _cell_coordinates,
     _check_degree,
     _masks,
+    _mul_terms,
     _width,
     _x_free_key,
     one,
@@ -49,6 +57,7 @@ from dqsym.qsym import (
     TruncationContext,
     TruncationTooSmall,
     _check_variables,
+    _placements,
     cell_class,
     double_monomial,
     expand_in_M,
@@ -433,6 +442,58 @@ def one_variable_cell_product(a, b):
     coordinates."""
     product = cell_class(a, 1) * cell_class(b, 1)
     return {c: value for (c,), value in _cell_coordinates(product, 1).items()}
+
+
+# The placements route: every cell of the product in one dict, regrouped
+# by gamma and placement.
+
+
+def product_cells(alpha, beta, n_x=None) -> dict:
+    """The nonzero cell coordinates of M_alpha * M_beta in ``n_x``
+    x-variables (default len(alpha) + len(beta)) as terms dicts, keyed
+    by (c_1, ..., c_n_x).  The walk fills the x-positions in order; its
+    states are keyed by lattice point, (k, m) having placed alpha[:k]
+    and beta[:m].  The next position takes nothing, alpha[k], beta[m]
+    or both, with each c of the one-variable oracle's phi_a * phi_b,
+    while the remaining parts still fit.  Every contribution is a fresh
+    product added into a fresh dict."""
+    la, lb = len(alpha), len(beta)
+    if n_x is None:
+        n_x = la + lb
+    e = {
+        (a, b): one_variable_cell_product(a, b)
+        for a in {0, *alpha}
+        for b in {0, *beta}
+    }
+    states = {(0, 0): {(): {0: 1}}}
+    for left in range(n_x - 1, -1, -1):
+        walked = {}
+        for (k, m), table in states.items():
+            for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
+                if not (la - left <= k2 <= la and lb - left <= m2 <= lb):
+                    continue
+                out = walked.setdefault((k2, m2), {})
+                moved = e[alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0]
+                for c, coordinate in moved.items():
+                    for prefix, terms in table.items():
+                        cell = out.setdefault(prefix + (c,), {})
+                        _add_into(cell, _mul_terms(terms, coordinate))
+        states = walked
+    return {cell: t for cell, t in states.get((la, lb), {}).items() if t}
+
+
+def placements_verify(alpha, beta, convention=DEFAULT_CONVENTION) -> bool:
+    """Whether each gamma's placements among ``product_cells`` carry one
+    coordinate (``qsym._placements``), and the gammas so found with
+    their coordinates are exactly ``lrcalc.product_expand``'s table,
+    looked up on the module so that a test can replace it."""
+    found, mismatch = _placements(product_cells(alpha, beta), len(alpha) + len(beta))
+    if mismatch is not None:
+        return False
+    coeffs = lrcalc.product_expand(alpha, beta, convention).coeffs
+    return found.keys() == coeffs.keys() and all(
+        next(iter(at.values())) == coeffs[gamma].terms for gamma, at in found.items()
+    )
 
 
 # Quasisymmetry by restriction: compare the restrictions of a polynomial

@@ -195,3 +195,27 @@ def test_criterion_9_cell_certification():
             if not verify_expansion(alpha, beta, ORACLE)
         ]
         assert failures == []
+
+
+def test_criterion_10_all_lengths_certification():
+    with criterion(10, "certification sweep, sizes <= 4, all lengths"):
+        # the first sweep past three parts: (1,1,1,1) and products in up
+        # to eight x-variables
+        compositions = sweep(4)
+        assert len(compositions) == 16
+        assert max(map(len, compositions)) == 4
+        failures = [
+            (alpha, beta)
+            for alpha in compositions
+            for beta in compositions
+            if not verify_expansion(alpha, beta, ORACLE)
+        ]
+        assert failures == []
+        # the paper-literal table holds only where one factor is M_()
+        passed = [
+            (alpha, beta)
+            for alpha in compositions
+            for beta in compositions
+            if verify_expansion(alpha, beta, PAPER)
+        ]
+        assert len(passed) == 31 and all(not alpha or not beta for alpha, beta in passed)

@@ -25,6 +25,8 @@ from oracles import (
     filtered_support_candidates,
     for_product,
     one_variable_cell_product,
+    placements_verify,
+    product_cells,
     product_route_verify,
     sample_points,
 )
@@ -253,6 +255,22 @@ class TestVerifyExpansion:
     def test_paper_convention_fails(self):
         assert not verify_expansion(Composition([1]), Composition([1]), PAPER)
 
+    def test_convention_must_be_an_enum_member(self):
+        # a string once read as the oracle-consistent convention here and
+        # as the paper-literal one in ``tableaux``; each entry point refuses it
+        one_box = Composition([1])
+        calls = [
+            lambda c: verify_expansion(one_box, one_box, c),
+            lambda c: product_expand(one_box, one_box, c),
+            lambda c: structure_coefficient(one_box, one_box, one_box, c),
+            lambda c: expansion_records(one_box, one_box, c),
+            lambda c: expansion_records(one_box, one_box, c, explicit_zeros=True),
+        ]
+        for call in calls:
+            for bad in ("paper-literal", "oracle-consistent", None, 0):
+                with pytest.raises(TypeError, match="convention must be a WeightConvention"):
+                    call(bad)
+
     @pytest.mark.parametrize("convention", [ORACLE, PAPER], ids=lambda c: c.value)
     def test_agrees_with_identity_at_points(self, convention):
         # the product identity, checked by plain evaluation of the defining
@@ -331,35 +349,97 @@ class TestVerifyExpansion:
         assert self._rejected() == 225
 
     @staticmethod
-    def _tampered_cells(monkeypatch, edit):
-        product_cells = lrcalc._product_cells
+    def _tampered_prefixes(monkeypatch, edit):
+        prefix_cells = lrcalc._prefix_cells
 
-        def tampered(alpha, beta):
-            cells = product_cells(alpha, beta)
-            edit(cells)
-            return cells
+        def tampered(alpha, beta, e):
+            states = prefix_cells(alpha, beta, e)
+            edit(states)
+            return states
 
-        monkeypatch.setattr(lrcalc, "_product_cells", tampered)
+        monkeypatch.setattr(lrcalc, "_prefix_cells", tampered)
 
     def test_placements_that_disagree_fail(self, monkeypatch):
-        # M_(1) * M_(1) has y2 - y1 at both placements of (1,), x_1 and x_2;
-        # either one changed, or one missing, fails whichever is read
-        for cell in ((1, 0), (0, 1)):
-            def disagree(cells, cell=cell):
-                cells[cell] = (XYPolynomial._raw(cells[cell]) + one()).terms
+        # M_(1) * M_(1) after its first x-position: (0, 0) holds the
+        # prefix (0,), (1, 0) and (0, 1) hold (1,), and (1, 1) holds (1,)
+        # with y2 - y1 and (2,) with 1.  The last position appends c = 0
+        # from (1, 1), c = 1 from (1, 0) and (0, 1), and e(1, 1) from
+        # (0, 0).  So (1,) carries y2 - y1 at x_1, from (1, 1), and at
+        # x_2, from (0, 0); either one changed, or one missing, fails
+        def changed_at_x1(states):
+            states[1, 1][1,] = (XYPolynomial._raw(states[1, 1][1,]) + one()).terms
 
-            def miss(cells, cell=cell):
-                del cells[cell]
+        def changed_at_x2(states):
+            # a lone beta part at x_2 adds 1 to the merge's y2 - y1
+            states[1, 0][0,] = {0: 1}
 
-            for edit in (disagree, miss):
-                self._tampered_cells(monkeypatch, edit)
-                assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+        def missing_at_x1(states):
+            del states[1, 1][1,]
+
+        def missing_at_x2(states):
+            # a lone beta part at x_2 cancels the merge's y2 - y1
+            states[1, 0][0,] = (y_var(1) - y_var(2)).terms
+
+        for edit in (changed_at_x1, changed_at_x2, missing_at_x1, missing_at_x2):
+            self._tampered_prefixes(monkeypatch, edit)
+            assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
 
     def test_stray_cell_fails(self, monkeypatch):
-        for stray in ({(3, 0): {0: 1}}, {(3, 0): {0: 1}, (0, 3): {0: 1}}):
-            # one placement of (3,), or both: a gamma off the table
-            self._tampered_cells(monkeypatch, lambda cells, stray=stray: cells.update(stray))
+        # (3,) at x_1, a gamma off the table: beside every right cell, or
+        # in place of (2,) at x_1, so that the cells still number the
+        # table's placements.  (3,) cannot reach x_2 from the prefix
+        # tables, since e(1, 1) has c in {1, 2} only.
+        def beside(states):
+            states[1, 1][3,] = {0: 1}
+
+        def in_place(states):
+            del states[1, 1][2,]
+            states[1, 1][3,] = {0: 1}
+
+        for edit in (beside, in_place):
+            self._tampered_prefixes(monkeypatch, edit)
             assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+
+    def test_matches_placements_route(self, monkeypatch):
+        # the check on the stepped last position against the full cell
+        # dict regrouped by placement, pair by pair, in both conventions,
+        # on the true table and under each tampered one
+        def drop(position):
+            def edit(coeffs, alpha, beta):
+                del coeffs[sorted(coeffs, key=Composition.sort_key)[position]]
+
+            return edit
+
+        def flip(position):
+            def edit(coeffs, alpha, beta):
+                gamma = sorted(coeffs, key=Composition.sort_key)[position]
+                coeffs[gamma] = -coeffs[gamma]
+
+            return edit
+
+        def add_inside(coeffs, alpha, beta):
+            missing = [g for g in support_candidates(alpha, beta) if g not in coeffs]
+            if missing:
+                coeffs[missing[0]] = one()
+
+        def add_outside(coeffs, alpha, beta):
+            coeffs[Composition([1] * (len(alpha) + len(beta) + 1))] = one()
+
+        edits = [drop(0), drop(-1), flip(0), flip(-1), add_inside, add_outside]
+        compositions = compositions_up_to(3)
+        for edit in [None, *edits]:
+            if edit is not None:
+                self._tampered(monkeypatch, edit)
+            for convention in (ORACLE, PAPER):
+                outcomes = Counter()
+                for alpha in compositions:
+                    for beta in compositions:
+                        passed = verify_expansion(alpha, beta, convention)
+                        assert passed == placements_verify(alpha, beta, convention)
+                        outcomes[passed] += 1
+                if edit is None:
+                    expected = {True: 64} if convention is ORACLE else {True: 15, False: 49}
+                    assert outcomes == expected
 
     def test_routes_agree(self):
         # the cell walk against the product route of the test oracle
@@ -377,14 +457,36 @@ class TestVerifyExpansion:
         assert outcomes == {True: 15, False: 49}
 
     def test_cell_walk_matches_product_cells(self):
-        # the shared-value walk against the cells of the product itself,
+        # the oracle's cell walk against the cells of the product itself,
         # converted one x-variable at a time, dict for dict
         for alpha in self.SWEEP:
             for beta in self.SWEEP:
                 ctx = for_product(alpha, beta)
                 product = double_monomial(alpha, ctx) * double_monomial(beta, ctx)
                 expected = _cell_coordinates(product, len(alpha) + len(beta))
-                assert lrcalc._product_cells(alpha, beta) == expected
+                assert product_cells(alpha, beta) == expected
+
+    def test_prefix_cells_match_oracle(self):
+        # the shared-value walk's tables before the last x-position: at
+        # (k, m), the cells of M_alpha[:k] * M_beta[:m] in n - 1
+        # x-variables, for the four points that reach (len(alpha),
+        # len(beta)); entries that cancel may stay as empty dicts
+        for alpha in self.SWEEP:
+            for beta in self.SWEEP:
+                la, lb = len(alpha), len(beta)
+                n = la + lb
+                states = lrcalc._prefix_cells(alpha, beta, lrcalc._cell_table(alpha, beta))
+                found = {
+                    point: {prefix: t for prefix, t in table.items() if t}
+                    for point, table in states.items()
+                }
+                expected = {
+                    (k, m): product_cells(alpha[:k], beta[:m], max(n - 1, 0))
+                    for k in range(max(la - 1, 0), la + 1)
+                    for m in range(max(lb - 1, 0), lb + 1)
+                }
+                # a point the walk cannot reach in n - 1 positions has no cells
+                assert found == {p: t for p, t in expected.items() if t or p in found}
 
     def test_sweep_rejects_paper_literal(self):
         passed = [

@@ -1,10 +1,15 @@
 """Edge-labeled tableaux, their weights, and skyline stacks."""
 
 import itertools
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from dqsym import tableaux
 from dqsym.compositions import Composition, enumerate_injections
 from dqsym.polynomial import one, x_var, y_var, zero
 from dqsym.qsym import cell_class
@@ -94,6 +99,32 @@ class TestSkewEdgeTableau:
     def test_display(self):
         assert str(SkewEdgeTableau(7, 4, frozenset({1, 3}))) == "[e][ ][e][ ][*][*][*]"
         assert str(SkewEdgeTableau(0, 0, frozenset())) == "(empty row)"
+
+    def test_immutable_value(self):
+        tableau = SkewEdgeTableau(outer=4, inner=2, edge_labels=[2])
+        same = SkewEdgeTableau(4, 2, frozenset({2}))
+        assert tableau == same and hash(tableau) == hash(same)
+        assert hash(tableau) == hash((4, 2, frozenset({2})))
+        assert tableau != SkewEdgeTableau(4, 2, frozenset({1}))
+        assert tableau != (4, 2, frozenset({2}))
+        assert len({tableau, same}) == 1
+        assert repr(tableau) == "SkewEdgeTableau(outer=4, inner=2, edge_labels=frozenset({2}))"
+        for attempt in (
+            lambda: setattr(tableau, "outer", 5),
+            lambda: setattr(tableau, "extra", 1),
+            lambda: delattr(tableau, "inner"),
+        ):
+            with pytest.raises(AttributeError, match="immutable"):
+                attempt()
+        assert (tableau.outer, tableau.inner, tableau.edge_labels) == (4, 2, frozenset({2}))
+
+    def test_weight_refuses_a_string_convention(self):
+        # a string would read as the other orientation, so it is refused
+        tableau = SkewEdgeTableau(2, 1, frozenset({1}))
+        for bad in ("oracle-consistent", "paper-literal", None):
+            with pytest.raises(TypeError, match="convention must be a WeightConvention"):
+                tableau.weight(bad)
+        assert tableau.weight() == y_var(3) - y_var(1)
 
 
 class TestEnumerateTableaux:
@@ -284,6 +315,21 @@ class TestSkylineTableau:
         with pytest.raises(ValueError):
             self.build(set())  # content 2 where the routing demands 3
 
+    def test_immutable_value(self):
+        first, again, other = self.build({1}), self.build({1}), self.build({2})
+        assert first == again and hash(first) == hash(again) and first != other
+        assert repr(first).startswith("SkylineTableau(gamma=Composition([3, 2, 4]), ")
+        assert repr(first).endswith(", iota=(1, 3), jota=(2, 3), rows=" + repr(first.rows) + ")")
+        for attempt in (lambda: setattr(first, "rows", ()), lambda: delattr(first, "gamma")):
+            with pytest.raises(AttributeError, match="immutable"):
+                attempt()
+
+    def test_weight_refuses_a_string_convention(self):
+        skyline = self.build({1})
+        for bad in ("paper-literal", "oracle-consistent"):
+            with pytest.raises(TypeError, match="convention must be a WeightConvention"):
+                skyline.weight(bad)
+
     def test_serialized_form(self):
         record = self.build({1}).to_record()
         assert record == {
@@ -362,3 +408,18 @@ class TestEnumerateSkylines:
                         for row in skyline.rows:
                             expected = expected * row.weight(ORACLE)
                         assert skyline.weight(ORACLE) == expected
+
+
+def test_import_needs_no_dataclasses():
+    # the tableau classes are written by hand: importing dataclasses (and
+    # inspect under it) would cost every command's start-up
+    src = str(Path(tableaux.__file__).resolve().parents[1])
+    probe = "import sys, dqsym.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
