@@ -268,14 +268,16 @@ def _prefix_cells(alpha: Composition, beta: Composition, e: dict) -> dict:
     dict as it is.  So every later contribution is through the unit
     coordinate: it copies a dict that this step did not build, then
     adds into the copy in place, so no dict is changed once another
-    state holds it."""
+    state holds it.  A point's table is read only when the point is
+    visited, so it is dropped then, and the step's memory falls as it
+    goes."""
     la, lb = len(alpha), len(beta)
     states = {(0, 0): {(): {0: 1}}}
     for left in range(la + lb - 1, 0, -1):
         walked: dict[tuple[int, int], dict] = {}
         built: set[int] = set()  # ids of the dicts this step made
         for k, m in sorted(states, key=sum):
-            table = states[k, m]
+            table = states.pop((k, m))
             for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
                 if not (la - left <= k2 <= la and lb - left <= m2 <= lb):
                     continue

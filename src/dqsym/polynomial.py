@@ -22,9 +22,11 @@ wide as the highest variable index it uses, so indices are unbounded.
 A polynomial maps packed monomials to nonzero integer coefficients.
 Polynomials are immutable and hashable; equality of polynomials is
 equality of the mathematical objects, and a constant equals its int
-and hashes as it.  A polynomial's hash is found once, when first asked
-for, and kept, so a value that many table rows share is hashed once,
-not once per row.
+and hashes as it.  Every value type of the package, this one
+included, derives from ``_Record``, the one guard that refuses both
+setting and deleting an attribute.  A polynomial's hash is found once,
+when first asked for, and kept, so a value that many table rows share
+is hashed once, not once per row.
 
 Limit.  Every field is at most the total degree, so no field carries
 into the next while total degrees stay at most ``MAX_DEGREE`` (255).
@@ -85,6 +87,41 @@ MAX_DEGREE = 255
 def _is_int(value) -> bool:
     """Whether ``value`` is an int and not a bool."""
     return type(value) is not bool and isinstance(value, int)
+
+
+class _Record:
+    """Immutable fields named by ``__slots__``, compared, hashed and
+    shown as the tuple of their values; set once by ``_set``, in the
+    order of ``__slots__``.  The package's one immutability guard:
+    every value type derives from it, and a type may give its own
+    equality, hash and repr."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def _normalize_exponents(data) -> ExponentPairs:
@@ -251,7 +288,7 @@ def _x_free_key(key: int, y_mask: int) -> int:
     return key & y_mask | (key & 255) - (key >> 8 & 255)
 
 
-class XYPolynomial:
+class XYPolynomial(_Record):
     """Integer polynomial in the x- and y-variables, in canonical form."""
 
     __slots__ = ("terms", "_hash")
@@ -282,9 +319,6 @@ class XYPolynomial:
         p = object.__new__(cls)
         _set_terms(p, terms)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XYPolynomial is immutable")
 
     # ------------------------------------------------------------------
     # ring structure
@@ -530,8 +564,8 @@ class XYPolynomial:
         return f"XYPolynomial({self})"
 
 
-# the slots' own setters, past the immutability guard of __setattr__;
-# faster than object.__setattr__ on the hot path of _raw
+# the slots' own setters, past the immutability guard of _Record;
+# faster than _set on the hot path of _raw
 _set_terms = XYPolynomial.terms.__set__
 _set_hash = XYPolynomial._hash.__set__
 

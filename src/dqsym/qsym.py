@@ -41,6 +41,7 @@ from .polynomial import (
     XYPolynomial,
     _cell_coordinates,
     _is_int,
+    _Record,
     _x_coordinates,
     constant,
     one,
@@ -62,31 +63,19 @@ class NotInSpan(ValueError):
     """The polynomial is not a Z[y]-combination of double monomials."""
 
 
-class TruncationContext:
+class TruncationContext(_Record):
     """Finite variable window: x_1..x_n_x and y_1..y_n_y."""
 
     __slots__ = ("n_x", "n_y")
+
+    n_x: int
+    n_y: int
 
     def __init__(self, n_x: int, n_y: int):
         for count in (n_x, n_y):
             if not _is_int(count) or count < 0:
                 raise ValueError("variable counts must be >= 0")
-        object.__setattr__(self, "n_x", n_x)
-        object.__setattr__(self, "n_y", n_y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationContext is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncationContext):
-            return NotImplemented
-        return self.n_x == other.n_x and self.n_y == other.n_y
-
-    def __hash__(self):
-        return hash((self.n_x, self.n_y))
-
-    def __repr__(self) -> str:
-        return f"TruncationContext(n_x={self.n_x}, n_y={self.n_y})"
+        self._set(n_x, n_y)
 
 
 def cell_class(part: int, x_index: int) -> XYPolynomial:
@@ -223,7 +212,7 @@ def qsym_generator(factors: Sequence[XYPolynomial], ctx: TruncationContext) -> X
     )
 
 
-class Expansion:
+class Expansion(_Record):
     """A finite Z[y]-combination of double monomial functions.
 
     Maps compositions to nonzero x-free coefficients.  Supports
@@ -249,17 +238,14 @@ class Expansion:
                     raise ValueError(f"coefficient of {composition} involves x")
                 if value:
                     cleaned[composition] = value
-        object.__setattr__(self, "coeffs", cleaned)
+        self._set(cleaned)
 
     @classmethod
     def _raw(cls, coeffs: dict[Composition, XYPolynomial]) -> Expansion:
         # trusted constructor: nonzero x-free coefficients, never shared mutably
         e = object.__new__(cls)
-        object.__setattr__(e, "coeffs", coeffs)
+        e._set(coeffs)
         return e
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expansion is immutable")
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .compositions import Composition
-from .polynomial import XYPolynomial, _add_into, _check_degree, _is_int, one, y_var
+from .polynomial import XYPolynomial, _Record, _add_into, _check_degree, _is_int, one, y_var
 
 
 class WeightConvention(enum.Enum):
@@ -55,39 +55,6 @@ def _check_convention(convention) -> None:
     its string value names it only on the command line."""
     if not isinstance(convention, WeightConvention):
         raise TypeError(f"convention must be a WeightConvention, got {convention!r}")
-
-
-class _Record:
-    """Immutable fields named by ``__slots__``, compared, hashed and
-    shown as the tuple of their values; set once by ``_set``, in the
-    order of ``__slots__``."""
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
 
 class SkewEdgeTableau(_Record):
@@ -237,7 +204,8 @@ class SkylineTableau(_Record):
     beta_part, where the parts of alpha and beta are routed to rows by
     the order-preserving injections ``iota`` and ``jota``, given as
     tuples of images; rows hit by neither would be impossible, so the
-    images must cover every row.
+    images must cover every row.  The injections and the rows are kept
+    as tuples, so a skyline hashes.
     """
 
     __slots__ = ("gamma", "alpha", "beta", "iota", "jota", "rows")
@@ -258,7 +226,7 @@ class SkylineTableau(_Record):
         jota: Iterable[int],
         rows: tuple[SkewEdgeTableau, ...],
     ):
-        iota, jota = tuple(iota), tuple(jota)
+        iota, jota, rows = tuple(iota), tuple(jota), tuple(rows)
         shapes = _row_shapes(gamma, alpha, beta, iota, jota)
         if len(rows) != len(shapes):
             raise ValueError("need one row per part of gamma")

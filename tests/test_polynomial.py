@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from dqsym.compositions import Composition
+from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     Monomial,
     XYPolynomial,
@@ -13,6 +15,8 @@ from dqsym.polynomial import (
     y_var,
     zero,
 )
+from dqsym.qsym import TruncationContext
+from dqsym.tableaux import SkewEdgeTableau, enumerate_skylines
 
 from oracles import eval_poly, leading_x_coefficients, sample_points
 
@@ -299,3 +303,51 @@ class TestDisplay:
         assert zero().as_int() == 0
         with pytest.raises(ValueError):
             x_var(1).as_int()
+
+
+def skyline():
+    """A skyline of the paper's example: [3, 2] and [2, 3] routed onto [3, 2, 4]."""
+    compositions = (Composition([3, 2]), Composition([2, 3]), Composition([3, 2, 4]))
+    return enumerate_skylines(*compositions, (1, 3), (2, 3))[0]
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        pytest.param(lambda: x_var(1) - y_var(2), "terms", id="XYPolynomial.terms"),
+        pytest.param(lambda: x_var(1) - y_var(2), "_hash", id="XYPolynomial._hash"),
+        pytest.param(
+            lambda: product_expand(Composition([1]), Composition([1])),
+            "coeffs",
+            id="Expansion.coeffs",
+        ),
+        pytest.param(lambda: TruncationContext(2, 3), "n_x", id="TruncationContext.n_x"),
+        pytest.param(lambda: SkewEdgeTableau(4, 2, [2]), "outer", id="SkewEdgeTableau.outer"),
+        pytest.param(lambda: SkewEdgeTableau(4, 2, [2]), "inner", id="SkewEdgeTableau.inner"),
+        pytest.param(lambda: SkewEdgeTableau(4, 2, [2]), "extra", id="SkewEdgeTableau.extra"),
+        pytest.param(skyline, "rows", id="SkylineTableau.rows"),
+        pytest.param(skyline, "gamma", id="SkylineTableau.gamma"),
+    ],
+)
+def test_value_types_refuse_set_and_del(make, name):
+    # every value type derives from the one guard in polynomial
+    value = make()
+    before = repr(value)
+    for attempt in (lambda: setattr(value, name, None), lambda: delattr(value, name)):
+        with pytest.raises(AttributeError, match="immutable"):
+            attempt()
+    assert repr(value) == before
+
+
+def test_refused_del_leaves_the_shared_constants_whole():
+    # one() and zero() are shared by every caller in the process
+    for shared in (one(), zero()):
+        with pytest.raises(AttributeError, match="immutable"):
+            del shared.terms
+    assert (one().terms, zero().terms) == ({0: 1}, {})
+    expansion = product_expand(Composition([1]), Composition([1]))
+    assert expansion.items() == [
+        (Composition([1]), y_var(2) - y_var(1)),
+        (Composition([2]), one()),
+        (Composition([1, 1]), constant(2)),
+    ]

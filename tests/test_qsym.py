@@ -55,6 +55,13 @@ class TestTruncationContext:
         assert (ctx.n_x, ctx.n_y) == (2, 3)
         assert ctx == TruncationContext(2, 3)
 
+    def test_value(self):
+        ctx = TruncationContext(2, 3)
+        assert repr(ctx) == "TruncationContext(n_x=2, n_y=3)"
+        assert hash(ctx) == hash((2, 3)) == hash(TruncationContext(2, 3))
+        assert ctx != TruncationContext(3, 2) and ctx != (2, 3)
+        assert len({ctx, TruncationContext(2, 3)}) == 1
+
     def test_for_product(self):
         # the product route's truncation, kept as a test oracle
         ctx = for_product(Composition([3, 2]), Composition([2, 3]))
