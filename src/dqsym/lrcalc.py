@@ -45,7 +45,12 @@ identity holds exactly when every nonzero cell carries the coefficient
 of its gamma, no gamma of the table has more than n parts, and the
 nonzero cells number sum_gamma C(n, len(gamma)) over the table.  The
 check reads each cell as the last x-position is stepped, and no dict
-of all cells is built.  Nothing is claimed for more x-variables
+of all cells is built.  A cell prefix is keyed by one int: a bit for
+each x-position that holds a nonzero entry, and above those n bits
+its gamma, the nonzero entries packed in fields of one width.  So a
+step ORs a constant onto a key, and a cell's gamma is read off its key
+by a shift and an OR, in the table keyed once by packed gamma; no
+tuple is built per cell.  Nothing is claimed for more x-variables
 than n.
 """
 
@@ -244,48 +249,67 @@ def _sum_tables(first: dict, second: dict) -> dict:
     return total
 
 
-def _prefix_cells(alpha: Composition, beta: Composition, e: dict) -> dict:
+def _prefix_cells(alpha: Composition, beta: Composition, e: dict, w: int) -> dict:
     """The cell prefixes of M_alpha * M_beta over the first n - 1
-    x-positions, n = len(alpha) + len(beta), by lattice point: (k, m),
-    having placed alpha[:k] and beta[:m], maps each prefix (c_1, ...,
-    c_{n-1}) to its terms dict, which may be empty where sums cancel.
-    Only the points from which the last position reaches (len(alpha),
-    len(beta)) are kept.  The walk fills the x-positions in order.  The
-    next position takes nothing, alpha[k], beta[m] or both, with each c
-    of e(a, b) from ``e`` (``_cell_table``), while the remaining parts
-    still fit; each move's bounds and list e(a, b) are found once per
-    lattice point, not per prefix.  A step adds a + b - c <= min(a, b)
-    to the degree, so the one check of the limit in
-    ``verify_expansion`` covers the walk.
+    x-positions, n = len(alpha) + len(beta), by (k, m, l): alpha[:k]
+    and beta[:m] placed, in l nonzero entries.  Each table maps a
+    prefix (c_1, ..., c_{n-1}) to its terms dict, which may be empty
+    where sums cancel.  A prefix is keyed by one int, mask | gamma << n:
+    bit i of mask is set where c_{i+1} is nonzero, and the j-th nonzero
+    entry (from 0) sits at bits n + w*j, so ``w`` must hold every part
+    a cell can take.  Only the points from which the last position
+    reaches (len(alpha), len(beta)) are kept.  The walk fills the
+    x-positions in order.  Position i takes nothing, alpha[k], beta[m]
+    or both, with each c of e(a, b) from ``e`` (``_cell_table``), while
+    the remaining parts still fit: a move that places a part ORs the
+    constant 1 << i | c << (n + w*l) onto each key, and the move that
+    places nothing keeps the keys.  Each move's bounds, list e(a, b)
+    and constants are found once per table, not per prefix.  A step
+    adds a + b - c <= min(a, b) to the degree, so the one check of the
+    limit in ``verify_expansion`` covers the walk.
 
     Values are shared, not copied, until a second write.  Each step
-    visits the states in increasing k + m, so a lattice point's merge
-    predecessor (k - 1, m - 1) comes before its others, and the merge's
-    cells are distinct: a contribution through a non-unit coordinate (a
-    merge's c < a + b) is always a cell's first, stored as a fresh
-    product.  A first contribution through the unit coordinate (nothing,
-    a lone part, or a merge's top c = a + b) stores the predecessor's
-    dict as it is.  So every later contribution is through the unit
-    coordinate: it copies a dict that this step did not build, then
-    adds into the copy in place, so no dict is changed once another
-    state holds it.  A point's table is read only when the point is
+    visits the tables in increasing k + m + l, so a point's merge
+    predecessor (k - 1, m - 1, l - 1) comes before its lone ones, and
+    the point itself, which places nothing, comes last.  A merge's
+    cells are distinct: a contribution through a non-unit coordinate
+    (a merge's c < a + b) is always a cell's first, stored as a fresh
+    product.  A first contribution through the unit coordinate (a lone
+    part, or a merge's top c = a + b) stores the predecessor's dict as
+    it is.  So every later contribution is through the unit coordinate:
+    it copies a dict that this step did not build, then adds into the
+    copy in place, so no dict is changed once another state holds it.
+    The keys of the nothing move have bit i clear, so they meet no
+    other move's: the point takes its own table, or updates the table
+    its other moves built.  A table is read only when its point is
     visited, so it is dropped then, and the step's memory falls as it
     goes."""
     la, lb = len(alpha), len(beta)
-    states = {(0, 0): {(): {0: 1}}}
-    for left in range(la + lb - 1, 0, -1):
-        walked: dict[tuple[int, int], dict] = {}
+    n = la + lb
+    states = {(0, 0, 0): {0: {0: 1}}}
+    for i in range(n - 1):
+        left = n - 1 - i  # the positions after this one
+        walked: dict[tuple[int, int, int], dict] = {}
         built: set[int] = set()  # ids of the dicts this step made
-        for k, m in sorted(states, key=sum):
-            table = states.pop((k, m))
-            for k2, m2 in ((k, m), (k + 1, m), (k, m + 1), (k + 1, m + 1)):
+        for point in sorted(states, key=sum):
+            k, m, l = point
+            table = states.pop(point)
+            if la - left <= k and lb - left <= m:
+                out = walked.get(point)
+                if out is None:
+                    walked[point] = table
+                else:
+                    out.update(table)
+            shift = n + w * l
+            for k2, m2 in ((k + 1, m), (k, m + 1), (k + 1, m + 1)):
                 if not (la - left <= k2 <= la and lb - left <= m2 <= lb):
                     continue
-                out = walked.setdefault((k2, m2), {})
+                out = walked.setdefault((k2, m2, l + 1), {})
                 get = out.get
                 for c, coordinate in e[alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0]:
+                    bits = 1 << i | c << shift
                     for prefix, terms in table.items():
-                        cell = prefix + (c,)
+                        cell = prefix | bits
                         old = get(cell)
                         if old is None:
                             if coordinate is None:
@@ -316,70 +340,87 @@ def verify_expansion(
     cells.  The target (len(alpha), len(beta)) has four predecessors:
     itself with c = 0, (k - 1, m) with c = alpha[-1], (k, m - 1) with
     c = beta[-1], and (k - 1, m - 1) with each c of
-    e(alpha[-1], beta[-1]).  A prefix's gamma, its nonzero entries, is
-    read once, and the at most three contributions that land on one
-    cell are summed.  Each nonzero cell must carry the coefficient of
-    its gamma.  Distinct cells of one gamma are distinct placements, so
-    the matched cells cover every placement of every gamma of the table
-    exactly when no gamma has more than n parts and they number
-    sum_gamma C(n, len(gamma)); the cells not counted are zero, as the
-    identity needs.
+    e(alpha[-1], beta[-1]).  A prefix key's high bits, key >> n, are
+    its gamma packed in fields of w bits, so the cell that appends c to
+    a prefix of l nonzero entries has gamma (key >> n) | c << (w*l);
+    the table is keyed once by packed gamma, and w is wide enough for
+    every part of a cell (at most max(alpha) + max(beta)) and of the
+    table, so no two gammas share a key.  The at most three
+    contributions that land on one cell are summed.  Each nonzero cell
+    must carry the coefficient of its gamma.  Distinct cells of one
+    gamma are distinct placements, so the matched cells cover every
+    placement of every gamma of the table exactly when no gamma has
+    more than n parts and they number sum_gamma C(n, len(gamma)); the
+    cells not counted are zero, as the identity needs.
 
     Raises TypeError unless ``convention`` is a ``WeightConvention``,
     and ValueError before any work when min(|alpha|, |beta|) passes
     the packed-exponent limit."""
     _check_convention(convention)
     _check_degree(min(alpha.size(), beta.size()))
-    n = len(alpha) + len(beta)
+    la, lb = len(alpha), len(beta)
+    n = la + lb
     coeffs = product_expand(alpha, beta, convention).coeffs
     if any(len(gamma) > n for gamma in coeffs):
         return False
-    get = {gamma: value.terms for gamma, value in coeffs.items()}.get
+    top = max((part for gamma in coeffs for part in gamma), default=0)
+    w = max(alpha.max_part() + beta.max_part(), top).bit_length()
+    packed = {}
+    for gamma, value in coeffs.items():
+        key = 0
+        for j, part in enumerate(gamma):
+            key |= part << w * j
+        packed[key] = value.terms
+    get = packed.get
     e = _cell_table(alpha, beta)
-    states = _prefix_cells(alpha, beta, e)
-    la, lb = len(alpha), len(beta)
-    cells = 0
-    # c = 0: only the target itself leads there, and the prefix holds
-    # the gamma (with n = 0 it is the empty cell itself)
-    for prefix, terms in states.get((la, lb), {}).items():
-        if terms:
-            if get(tuple(filter(None, prefix))) != terms:
-                return False
-            cells += 1
-    # a lone part's prefixes by its c, summed where the two parts are
-    # equal; a part is 0 where its composition is empty
+    states = _prefix_cells(alpha, beta, e, w)
+    # a part is 0 where its composition is empty
     a = alpha[-1] if la else 0
     b = beta[-1] if lb else 0
-    lone: dict[int, dict] = {}
-    for c, point in ((a, (la - 1, lb)), (b, (la, lb - 1))):
-        table = states.get(point) if c else None
-        if table:
-            lone[c] = _sum_tables(lone[c], table) if c in lone else table
-    merged = states.get((la - 1, lb - 1), {}) if a and b else {}
-    # each c of e(a, b), with the lone prefixes that land on its cells
-    steps = [(c, coordinate, lone.get(c)) for c, coordinate in e[a, b]]
-    merge_cs = {c for c, _, _ in steps}
-    for prefix, terms in merged.items():
-        parts = tuple(filter(None, prefix))
-        for c, coordinate, other in steps:
-            value = terms if coordinate is None else _mul_terms(terms, coordinate)
-            if other is not None:
-                more = other.get(prefix)
-                if more:
-                    if coordinate is None:
-                        value = dict(value)
-                    _add_into(value, more)
-            if value:
-                if get(parts + (c,)) != value:
+    merge_cs = {c for c, _ in e[a, b]}
+    cells = 0
+    # the prefixes hold l < n nonzero entries (l = 0 when n = 0)
+    for l in range(max(n, 1)):
+        shift = w * l
+        # c = 0: only the target itself leads there, and the prefix
+        # holds the gamma (with n = 0 it is the empty cell itself)
+        for prefix, terms in states.get((la, lb, l), {}).items():
+            if terms:
+                if get(prefix >> n) != terms:
                     return False
                 cells += 1
-    for c, table in lone.items():
-        summed = merged if c in merge_cs else {}
-        for prefix, terms in table.items():
-            if terms and prefix not in summed:
-                if get(tuple(filter(None, prefix)) + (c,)) != terms:
-                    return False
-                cells += 1
+        # a lone part's prefixes by its c, summed where the two parts
+        # are equal
+        lone: dict[int, dict] = {}
+        for c, point in ((a, (la - 1, lb, l)), (b, (la, lb - 1, l))):
+            table = states.get(point) if c else None
+            if table:
+                lone[c] = _sum_tables(lone[c], table) if c in lone else table
+        merged = states.get((la - 1, lb - 1, l), {}) if a and b else {}
+        # each c of e(a, b), with the lone prefixes that land on its cells
+        steps = [(c << shift, coordinate, lone.get(c)) for c, coordinate in e[a, b]]
+        for prefix, terms in merged.items():
+            parts = prefix >> n
+            for last, coordinate, other in steps:
+                value = terms if coordinate is None else _mul_terms(terms, coordinate)
+                if other is not None:
+                    more = other.get(prefix)
+                    if more:
+                        if coordinate is None:
+                            value = dict(value)
+                        _add_into(value, more)
+                if value:
+                    if get(parts | last) != value:
+                        return False
+                    cells += 1
+        for c, table in lone.items():
+            summed = merged if c in merge_cs else {}
+            last = c << shift
+            for prefix, terms in table.items():
+                if terms and prefix not in summed:
+                    if get(prefix >> n | last) != terms:
+                        return False
+                    cells += 1
     return cells == sum(math.comb(n, len(gamma)) for gamma in coeffs)
 
 

@@ -47,7 +47,10 @@ that cancel.  None of them checks the degree limit: a caller checks it
 first, as ``*`` does.  Both walks share values and copy on the second
 write: a key's first contribution stores a value as it is, or a fresh
 ``_mul_terms`` product, and only a later one copies a shared dict
-before adding into it in place.
+before adding into it in place.  The cell walk keys its terms dicts by
+cell prefixes packed into ints as well, in a layout of its own (a bit
+mask of the nonzero x-positions below their parts), described in
+``lrcalc._prefix_cells``; those keys are never monomials.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher

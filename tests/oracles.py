@@ -482,6 +482,39 @@ def product_cells(alpha, beta, n_x=None) -> dict:
     return {cell: t for cell, t in states.get((la, lb), {}).items() if t}
 
 
+def pack_cell(cell, n, w) -> int:
+    """The int key of a cell or cell prefix (c_1, c_2, ...) of a
+    product in n x-variables: bit i is set where c_{i+1} is nonzero,
+    and the j-th nonzero entry, counted from 0, is added at bit
+    n + w*j."""
+    key = 0
+    j = 0
+    for i, c in enumerate(cell):
+        if c:
+            key += (1 << i) + (c << n + w * j)
+            j += 1
+    return key
+
+
+def unpack_cell(key, n, w, length) -> tuple:
+    """The cell of ``length`` x-positions whose ``pack_cell`` key is
+    ``key``; ValueError when a set bit has a zero entry or bits are
+    left over."""
+    mask, parts = key % (1 << n), key >> n
+    cell = []
+    for i in range(length):
+        if mask >> i & 1:
+            parts, c = divmod(parts, 1 << w)
+            if not c:
+                raise ValueError(f"{key} sets bit {i} with a zero entry")
+            cell.append(c)
+        else:
+            cell.append(0)
+    if mask >> length or parts:
+        raise ValueError(f"{key} is not a cell of {length} positions")
+    return tuple(cell)
+
+
 def placements_verify(alpha, beta, convention=DEFAULT_CONVENTION) -> bool:
     """Whether each gamma's placements among ``product_cells`` carry one
     coordinate (``qsym._placements``), and the gammas so found with

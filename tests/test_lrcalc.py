@@ -25,10 +25,12 @@ from oracles import (
     filtered_support_candidates,
     for_product,
     one_variable_cell_product,
+    pack_cell,
     placements_verify,
     product_cells,
     product_route_verify,
     sample_points,
+    unpack_cell,
 )
 
 PAPER = WeightConvention.PAPER_LITERAL
@@ -350,35 +352,40 @@ class TestVerifyExpansion:
 
     @staticmethod
     def _tampered_prefixes(monkeypatch, edit):
+        # ``edit(states, key)`` edits the prefix tables, with ``key`` the
+        # oracle's packed key of a prefix
         prefix_cells = lrcalc._prefix_cells
 
-        def tampered(alpha, beta, e):
-            states = prefix_cells(alpha, beta, e)
-            edit(states)
+        def tampered(alpha, beta, e, w):
+            states = prefix_cells(alpha, beta, e, w)
+            n = len(alpha) + len(beta)
+            edit(states, lambda cell: pack_cell(cell, n, w))
             return states
 
         monkeypatch.setattr(lrcalc, "_prefix_cells", tampered)
 
     def test_placements_that_disagree_fail(self, monkeypatch):
-        # M_(1) * M_(1) after its first x-position: (0, 0) holds the
-        # prefix (0,), (1, 0) and (0, 1) hold (1,), and (1, 1) holds (1,)
-        # with y2 - y1 and (2,) with 1.  The last position appends c = 0
-        # from (1, 1), c = 1 from (1, 0) and (0, 1), and e(1, 1) from
-        # (0, 0).  So (1,) carries y2 - y1 at x_1, from (1, 1), and at
-        # x_2, from (0, 0); either one changed, or one missing, fails
-        def changed_at_x1(states):
-            states[1, 1][1,] = (XYPolynomial._raw(states[1, 1][1,]) + one()).terms
+        # M_(1) * M_(1) after its first x-position: (0, 0, 0) holds the
+        # prefix (0,), (1, 0, 1) and (0, 1, 1) hold (1,), and (1, 1, 1)
+        # holds (1,) with y2 - y1 and (2,) with 1.  The last position
+        # appends c = 0 from (1, 1), c = 1 from (1, 0) and (0, 1), and
+        # e(1, 1) from (0, 0).  So (1,) carries y2 - y1 at x_1, from
+        # (1, 1), and at x_2, from (0, 0); either one changed, or one
+        # missing, fails
+        def changed_at_x1(states, key):
+            table = states[1, 1, 1]
+            table[key((1,))] = (XYPolynomial._raw(table[key((1,))]) + one()).terms
 
-        def changed_at_x2(states):
+        def changed_at_x2(states, key):
             # a lone beta part at x_2 adds 1 to the merge's y2 - y1
-            states[1, 0][0,] = {0: 1}
+            states.setdefault((1, 0, 0), {})[key((0,))] = {0: 1}
 
-        def missing_at_x1(states):
-            del states[1, 1][1,]
+        def missing_at_x1(states, key):
+            del states[1, 1, 1][key((1,))]
 
-        def missing_at_x2(states):
+        def missing_at_x2(states, key):
             # a lone beta part at x_2 cancels the merge's y2 - y1
-            states[1, 0][0,] = (y_var(1) - y_var(2)).terms
+            states.setdefault((1, 0, 0), {})[key((0,))] = (y_var(1) - y_var(2)).terms
 
         for edit in (changed_at_x1, changed_at_x2, missing_at_x1, missing_at_x2):
             self._tampered_prefixes(monkeypatch, edit)
@@ -389,16 +396,31 @@ class TestVerifyExpansion:
         # in place of (2,) at x_1, so that the cells still number the
         # table's placements.  (3,) cannot reach x_2 from the prefix
         # tables, since e(1, 1) has c in {1, 2} only.
-        def beside(states):
-            states[1, 1][3,] = {0: 1}
+        def beside(states, key):
+            states[1, 1, 1][key((3,))] = {0: 1}
 
-        def in_place(states):
-            del states[1, 1][2,]
-            states[1, 1][3,] = {0: 1}
+        def in_place(states, key):
+            del states[1, 1, 1][key((2,))]
+            states[1, 1, 1][key((3,))] = {0: 1}
 
         for edit in (beside, in_place):
             self._tampered_prefixes(monkeypatch, edit)
             assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
+
+    def test_gammas_keep_distinct_keys(self, monkeypatch):
+        # M_(1) * M_(2) has cells of parts at most 3, two bits.  In
+        # fields of two bits, its gamma (1, 2) would share a key with
+        # (9, 2) by OR and with (5, 1) by sum, so either table, the
+        # coefficient of (1, 2) moved there, would pass
+        assert 1 | 2 << 2 == 9 | 2 << 2 and 1 + (2 << 2) == 5 + (1 << 2)
+        alpha, beta = Composition([1]), Composition([2])
+        assert verify_expansion(alpha, beta, ORACLE)
+        for parts in ([9, 2], [5, 1]):
+            def moved(coeffs, alpha, beta, parts=parts):
+                coeffs[Composition(parts)] = coeffs.pop(Composition([1, 2]))
+
+            self._tampered(monkeypatch, moved)
+            assert verify_expansion(alpha, beta, ORACLE) is False
 
     def test_matches_placements_route(self, monkeypatch):
         # the check on the stepped last position against the full cell
@@ -470,23 +492,34 @@ class TestVerifyExpansion:
         # the shared-value walk's tables before the last x-position: at
         # (k, m), the cells of M_alpha[:k] * M_beta[:m] in n - 1
         # x-variables, for the four points that reach (len(alpha),
-        # len(beta)); entries that cancel may stay as empty dicts
+        # len(beta)), decoded from their packed keys, at the narrowest
+        # field width and a wider one; the table at (k, m, l) holds
+        # prefixes of l nonzero entries, and entries that cancel may
+        # stay as empty dicts
         for alpha in self.SWEEP:
             for beta in self.SWEEP:
                 la, lb = len(alpha), len(beta)
                 n = la + lb
-                states = lrcalc._prefix_cells(alpha, beta, lrcalc._cell_table(alpha, beta))
-                found = {
-                    point: {prefix: t for prefix, t in table.items() if t}
-                    for point, table in states.items()
-                }
                 expected = {
                     (k, m): product_cells(alpha[:k], beta[:m], max(n - 1, 0))
                     for k in range(max(la - 1, 0), la + 1)
                     for m in range(max(lb - 1, 0), lb + 1)
                 }
-                # a point the walk cannot reach in n - 1 positions has no cells
-                assert found == {p: t for p, t in expected.items() if t or p in found}
+                e = lrcalc._cell_table(alpha, beta)
+                narrow = (alpha.max_part() + beta.max_part()).bit_length()
+                for w in (narrow, narrow + 3):
+                    found = {}
+                    for (k, m, l), table in lrcalc._prefix_cells(alpha, beta, e, w).items():
+                        cells = found.setdefault((k, m), {})
+                        for key, t in table.items():
+                            prefix = unpack_cell(key, n, w, max(n - 1, 0))
+                            assert sum(map(bool, prefix)) == l
+                            assert prefix not in cells
+                            if t:
+                                cells[prefix] = t
+                    # a point the walk cannot reach in n - 1 positions
+                    # has no cells
+                    assert found == {p: t for p, t in expected.items() if t or p in found}
 
     def test_sweep_rejects_paper_literal(self):
         passed = [
@@ -510,9 +543,12 @@ class TestVerifyExpansion:
                 assert found == one_variable_cell_product(a, b)
 
     def test_large_part(self):
-        # phi_20 has 2**20 terms; its cell coordinates have one
+        # phi_20 has 2**20 terms; its cell coordinates have one.  Parts
+        # up to 301 and 70001 need key fields of 9 and 17 bits
         assert verify_expansion(Composition([20]), Composition([2]), ORACLE)
         assert verify_expansion(Composition([2]), Composition([20]), ORACLE)
+        assert verify_expansion(Composition([300]), Composition([1]), ORACLE)
+        assert verify_expansion(Composition([1]), Composition([70000]), ORACLE)
 
 
 def z_positive(value: XYPolynomial, z_forms: dict) -> bool:
