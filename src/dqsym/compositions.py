@@ -23,10 +23,9 @@ from .polynomial import (
     _UNIT_TERMS,
     MAX_DEGREE,
     XYPolynomial,
-    _add_into,
+    _add_terms,
     _check_degree,
     _is_int,
-    _mul_into,
     _mul_terms,
     one,
 )
@@ -174,15 +173,31 @@ def routing_outcomes(
     Filled bottom-up, with k and then m descending: the table of state
     (k, m) maps each suffix of row parts that routes alpha[k:] and
     beta[m:] to its summed weight, so a suffix shared by many paths is
-    extended once per step, not once per path.  A table is built on
-    the terms dicts of the polynomial kernel.  A key's first
-    contribution is stored as the object it is: the next state's value
-    for a step without a product, the weight itself for a product with
-    a unit value, as ``*`` returns it, and else a fresh product dict.
-    A second contribution copies the key's terms once, and later ones
-    add into that copy in place.  When the state is done each dict it
-    built is wrapped as one ``XYPolynomial``, so a table holds
-    polynomials and never changes a value it did not build.
+    extended once per step, not once per path.  The values of a table
+    are polynomials that are never mutated: a key's first contribution
+    is stored as the object it is, the next state's value for a step
+    without a product and else the product, and a later one replaces
+    it by the sum.  A product with a unit value is the weight itself,
+    as ``*`` returns it.
+
+    Each call hash-conses the values it makes.  ``canon`` maps the
+    terms of every value the call built, and of every merge weight, to
+    the one polynomial of that value; a merge weight new to ``canon``
+    is kept as the object ``merges`` gave.  ``products`` maps id(weight),
+    and then id(value), to their canonical product, and ``sums`` maps
+    (id(old), id(value)) to their canonical sum.  So a repeated product
+    or sum is looked up, not computed; only a miss multiplies or adds,
+    into a fresh dict, and equal values the call builds are one object.
+    The state's first lone step of an untargeted walk stores its values
+    with no lookup: one step's keys are distinct, and the table is
+    still empty.
+
+    Ids key the memos safely because every object they name stays
+    alive until the call returns: weights and built values are held by
+    ``canon``, and the values of the tables read by the tables, which
+    the walk keeps by state.  So no id is reused within a call, even
+    when ``merges`` builds fresh weights on every call.  The three
+    dicts are local to the call and die with it.
 
     By the degree of the merges, an entry of state (k, m) has degree
     |alpha[k:]| + |beta[m:]| - |suffix|, at most
@@ -191,8 +206,9 @@ def routing_outcomes(
     product entry as it is written, from those sizes.
 
     With a ``target`` composition the walk keeps only the suffixes that
-    end ``target``, and returns at most the one outcome ``target``
-    itself.  A targeted walk never reads or writes ``tables``.
+    end ``target``, so it returns only the outcomes that end ``target``:
+    ``target`` itself when it has a routing, and any shorter outcome
+    that ends it.  A targeted walk never reads or writes ``tables``.
 
     A table depends only on the suffix pair (alpha[k:], beta[m:]), as
     tuples, so untargeted walks can share them.  ``tables`` is an
@@ -211,6 +227,20 @@ def routing_outcomes(
         target = tuple(target)
         last = len(target) - 1
     check = min(sum(alpha), sum(beta)) > MAX_DEGREE
+    unit = one()
+    # the one polynomial of each value by its terms, and the canonical
+    # product (by weight, then value) and sum by the ids of their operands
+    canon = {frozenset(_UNIT_TERMS.items()): unit}
+    products: dict[int, dict[int, XYPolynomial]] = {}
+    sums: dict[tuple[int, int], XYPolynomial] = {}
+
+    def intern(terms: dict[int, int]) -> XYPolynomial:
+        key = frozenset(terms.items())
+        value = canon.get(key)
+        if value is None:
+            value = canon[key] = XYPolynomial._raw(terms)
+        return value
+
     # this walk's tables by state, whatever the mapping keeps
     walked: dict[tuple[int, int], dict] = {}
     for k in range(la, -1, -1):
@@ -220,7 +250,7 @@ def routing_outcomes(
             table = tables.get(pair)
             if table is None:
                 if k == la and m == lb:
-                    table = {(): one()}
+                    table = {(): unit}
                 else:
                     # (table of the next state, row part, weight or None)
                     steps = []
@@ -230,49 +260,60 @@ def routing_outcomes(
                         steps.append((walked[k, m + 1], beta[m], None))
                         if k < la:
                             after = walked[k + 1, m + 1]
-                            steps.extend(
-                                (after, part, None if weight == 1 else weight)
-                                for part, weight in merges(alpha[k], beta[m]).items()
-                            )
+                            for part, weight in merges(alpha[k], beta[m]).items():
+                                if weight.terms == _UNIT_TERMS:
+                                    weight = None
+                                else:
+                                    # held by canon, so its id is never reused;
+                                    # the object merges gave, not a wrapper,
+                                    # so the outcomes equal to it are objects
+                                    # later calls and the encoder meet again
+                                    weight = canon.setdefault(
+                                        frozenset(weight.terms.items()), weight
+                                    )
+                                steps.append((after, part, weight))
                     if check:
                         size = sum(rest) + sum(beta[m:])
-                    # values are polynomials that others may hold, or
-                    # terms dicts this state built and alone mutates
                     table = {}
                     for after, part, weight in steps:
+                        head = (part,)
                         if weight is not None:
                             w = weight.terms
+                            made = products.setdefault(id(weight), {})
+                        elif not table and target is None:
+                            # one step's keys are distinct, so into an
+                            # empty table a lone step stores every value
+                            table = {head + s: value for s, value in after.items()}
+                            continue
                         for suffix, value in after.items():
                             if target is not None:
                                 at = last - len(suffix)
                                 if at < 0 or target[at] != part:
                                     continue
-                            key = (part,) + suffix
+                            key = head + suffix
                             if weight is not None:
-                                v = value.terms
-                                if check and v:
+                                if check and value.terms:
                                     _check_degree(size - part - sum(suffix))
+                                product = made.get(id(value))
+                                if product is None:
+                                    v = value.terms
+                                    # a unit value shares the weight, as * does
+                                    if v == _UNIT_TERMS:
+                                        product = weight
+                                    else:
+                                        product = intern(_mul_terms(w, v))
+                                    made[id(value)] = product
+                                value = product
                             old = table.get(key)
                             if old is None:
-                                # stored as it is; a unit value shares the
-                                # weight, as * does
-                                if weight is None:
-                                    table[key] = value
-                                elif v == _UNIT_TERMS:
-                                    table[key] = weight
-                                else:
-                                    table[key] = _mul_terms(w, v)
+                                table[key] = value
                                 continue
-                            if old.__class__ is not dict:
-                                # a shared value is copied once
-                                table[key] = old = dict(old.terms)
-                            if weight is None:
-                                _add_into(old, value.terms)
-                            else:
-                                _mul_into(old, w, v)
-                    for key, value in table.items():
-                        if value.__class__ is dict:
-                            table[key] = XYPolynomial._raw(value)
+                            sk = (id(old), id(value))
+                            total = sums.get(sk)
+                            if total is None:
+                                total = intern(_add_terms(old.terms, value.terms))
+                                sums[sk] = total
+                            table[key] = total
                 tables[pair] = table
             walked[k, m] = table
     return walked[0, 0]

@@ -40,14 +40,20 @@ Terms dicts.  The routing walk (``compositions.routing_outcomes``) and
 the certifier's cell walk (``lrcalc._prefix_cells``, and the last step
 in ``lrcalc.verify_expansion``) sum and multiply on terms dicts, not
 on polynomials.  ``_add_into(out, a)`` adds ``a`` into ``out`` in
-place; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
+place; ``_add_terms(a, b)`` returns a + b as a new dict, as ``+``
+does; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
 for a one-term factor as ``*`` does; ``_mul_into(out, a, b)`` adds
 a * b into ``out`` in place.  The two in-place helpers drop the keys
 that cancel.  None of them checks the degree limit: a caller checks it
-first, as ``*`` does.  Both walks share values and copy on the second
-write: a key's first contribution stores a value as it is, or a fresh
-``_mul_terms`` product, and only a later one copies a shared dict
-before adding into it in place.  The cell walk keys its terms dicts by
+first, as ``*`` does.  Of the two walks only the certifier adds in
+place into the values it stores: it shares values and copies on the
+second write, so a key's first contribution stores a value as it is,
+or a fresh ``_mul_terms`` product, and only a later one copies a
+shared dict before adding into it.  The routing walk never mutates a
+value it stores: it hash-conses them, one polynomial per value, and
+computes a product or a sum, into a fresh dict, only the first time it
+meets the pair of operands.  (``tableaux.row_weight_sum`` adds in
+place into dicts of its own.)  The cell walk keys its terms dicts by
 cell prefixes packed into ints as well, in a layout of its own (a bit
 mask of the nonzero x-positions below their parts), described in
 ``lrcalc._prefix_cells``; those keys are never monomials.
@@ -250,6 +256,15 @@ def _add_into(out: dict[int, int], terms: Mapping[int, int]) -> None:
                 del out[k]
 
 
+def _add_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """a + b as a new terms dict: the larger copied, the smaller added in."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    _add_into(out, b)
+    return out
+
+
 def _mul_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """a * b as a new terms dict, with no check of the degree limit."""
     if len(a) > len(b):
@@ -357,12 +372,7 @@ class XYPolynomial(_Record):
             other = constant(int(other))
         if not isinstance(other, XYPolynomial):
             return NotImplemented
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        _add_into(out, small)
-        return XYPolynomial._raw(out)
+        return XYPolynomial._raw(_add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 

@@ -37,7 +37,16 @@ from functools import lru_cache
 from typing import Iterable
 
 from .compositions import Composition
-from .polynomial import XYPolynomial, _Record, _add_into, _check_degree, _is_int, one, y_var
+from .polynomial import (
+    XYPolynomial,
+    _Record,
+    _check_degree,
+    _is_int,
+    _mul_into,
+    _y_key,
+    one,
+    y_var,
+)
 
 
 class WeightConvention(enum.Enum):
@@ -121,6 +130,17 @@ class SkewEdgeTableau(_Record):
         return "".join(cells) if cells else "(empty row)"
 
 
+def _edge_labels(outer: int, inner: int, content: int) -> int | None:
+    """The number of labeled edges of every tableau of shape outer/inner
+    with the given content, None when there is no such tableau."""
+    if not all(_is_int(v) and v >= 0 for v in (outer, inner, content)):
+        raise ValueError("outer, inner, and content must be >= 0")
+    labels = content - (outer - inner)
+    if inner > outer or labels < 0 or labels > inner:
+        return None
+    return labels
+
+
 def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTableau]:
     """All tableaux of shape outer/inner with the given content.
 
@@ -130,12 +150,8 @@ def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTab
     <= inner + content, and 0 otherwise (including inner > outer, where
     the shape itself is empty).  Edge sets are listed lexicographically.
     """
-    if not all(_is_int(v) and v >= 0 for v in (outer, inner, content)):
-        raise ValueError("outer, inner, and content must be >= 0")
-    if inner > outer:
-        return []
-    labels = content - (outer - inner)
-    if labels < 0 or labels > inner:
+    labels = _edge_labels(outer, inner, content)
+    if labels is None:
         return []
     return [
         SkewEdgeTableau(outer, inner, frozenset(edges))
@@ -143,14 +159,35 @@ def enumerate_tableaux(outer: int, inner: int, content: int) -> list[SkewEdgeTab
     ]
 
 
-@lru_cache(maxsize=None)
+# typed, so a bool or float never hits the entry of its equal int
+@lru_cache(maxsize=None, typed=True)
 def row_weight_sum(outer: int, inner: int, content: int) -> XYPolynomial:
     """Sum of the oracle-consistent weights of all tableaux of one shape
-    and content, added into one terms dict, not copied per tableau."""
-    terms: dict[int, int] = {}
-    for tableau in enumerate_tableaux(outer, inner, content):
-        _add_into(terms, tableau._weight(WeightConvention.ORACLE_CONSISTENT).terms)
-    return XYPolynomial._raw(terms)
+    and content, by a recursion over the boxes, not tableau by tableau.
+
+    With L = content - (outer - inner) edge labels, scan the boxes
+    i = inner, ..., 1 keeping t, the edge labels already placed right
+    of box i: a labeled box i contributes the factor
+    y_{i + 1 + (outer - inner) + t} - y_i and passes t + 1 on, an
+    unlabeled one passes t on.  So the sums over the labelings of the
+    boxes right of i, one per t, step box by box in O(inner * L)
+    products by a binomial, where the tableaux number C(inner, L).
+    The degree L is checked first, as the weights of the tableaux are.
+    """
+    labels = _edge_labels(outer, inner, content)
+    if labels is None:
+        return XYPolynomial._raw({})
+    _check_degree(labels)
+    shift = outer - inner + 1
+    # sums[t]: the summed weights of the labelings right of the box, t labels
+    sums: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(labels)]
+    for i in range(inner, 0, -1):
+        low = _y_key(i)
+        # t descending, so sums[t] is read before box i adds into it; a t
+        # below labels - i can no longer reach labels
+        for t in range(min(labels - 1, inner - i), max(labels - i, 0) - 1, -1):
+            _mul_into(sums[t + 1], {_y_key(i + shift + t): 1, low: -1}, sums[t])
+    return XYPolynomial._raw(sums[labels])
 
 
 def cp_product(a: int, b: int) -> dict[int, XYPolynomial]:

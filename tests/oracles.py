@@ -26,7 +26,8 @@ one-variable oracle, and regroups the cells by gamma and placement
 last x-position inside its check and counts the matched cells.  The
 one-variable oracle reads phi_a * phi_b off the two expanded cell
 classes, where the library steps through cell coordinates one linear
-factor at a time.
+factor at a time.  The row weight sum oracle adds the weights of the
+tableaux one by one, where the library steps a recursion over boxes.
 """
 
 import itertools

@@ -544,10 +544,13 @@ class TestVerifyExpansion:
 
     def test_large_part(self):
         # phi_20 has 2**20 terms; its cell coordinates have one.  Parts
-        # up to 301 and 70001 need key fields of 9 and 17 bits
+        # up to 302 and 70001 need key fields of 9 and 17 bits; the rule
+        # sums the C(300, 2) tableaux of shape 300/300, content 2, by
+        # the box recursion
         assert verify_expansion(Composition([20]), Composition([2]), ORACLE)
         assert verify_expansion(Composition([2]), Composition([20]), ORACLE)
         assert verify_expansion(Composition([300]), Composition([1]), ORACLE)
+        assert verify_expansion(Composition([300]), Composition([1, 2]), ORACLE)
         assert verify_expansion(Composition([1]), Composition([70000]), ORACLE)
 
 

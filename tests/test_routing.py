@@ -7,7 +7,10 @@ pair, or walk every path separately.  Walks that share their
 tables through a mapping must agree with fresh walks and leave the
 shared values unchanged, and the ``table`` command's mapping must keep
 only the tables a later pair can reuse.  The walk checks the degree
-limit of the packed exponents from the sizes of its entries.
+limit of the packed exponents from the sizes of its entries.  Each
+walk hash-conses its values by memos keyed by the ids of their
+operands, so equal coefficients are one object, and merge weights
+built afresh by every call must still give the oracles' values.
 """
 
 from math import comb
@@ -24,7 +27,7 @@ from dqsym.compositions import (
     routing_outcomes,
 )
 from dqsym.lrcalc import product_expand, structure_coefficient
-from dqsym.polynomial import one, y_var
+from dqsym.polynomial import XYPolynomial, one, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention, cp_product
 
@@ -118,7 +121,7 @@ def _size_at_most_4():
 
 def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
     sweep = _size_at_most_4()
-    # row_weight_sum is cached, so every walk meets these very objects
+    # the sweep meets 16 unit merges
     unit_merges = [
         weight
         for a in range(1, 5)
@@ -127,29 +130,59 @@ def test_expansion_never_multiplies_by_a_unit_merge(monkeypatch):
         if weight == 1
     ]
     assert len(unit_merges) == 16
-    # the walk multiplies terms dicts, by the helpers compositions binds
+    # the walk multiplies terms dicts by the one helper compositions binds
     operands = []
     mul_terms = compositions_module._mul_terms
-    mul_into = compositions_module._mul_into
 
     def recording_terms(a, b):
         operands.append((a, b))
         return mul_terms(a, b)
 
-    def recording_into(out, a, b):
-        operands.append((a, b))
-        mul_into(out, a, b)
-
     monkeypatch.setattr(compositions_module, "_mul_terms", recording_terms)
-    monkeypatch.setattr(compositions_module, "_mul_into", recording_into)
     for alpha in sweep:
         for beta in sweep:
             # the untargeted walk, and a targeted one per gamma
             for gamma in product_expand(alpha, beta).support():
                 structure_coefficient(alpha, beta, gamma)
     assert operands
+    # by value, not identity: a unit weight steps without a product, and
+    # a unit value gives the weight itself, so no operand is the unit
+    unit = one().terms
     for pair in operands:
-        assert not any(p is w.terms for p in pair for w in unit_merges)
+        assert not any(p == unit for p in pair)
+
+
+def test_equal_coefficients_are_one_object():
+    # the walk hash-conses its values: 1,469 coefficients, 36 values
+    ones = Composition([1] * 7)
+    values = list(product_expand(ones, ones).coeffs.values())
+    assert len(values) == 1469
+    assert len(set(values)) == 36
+    assert len({id(value) for value in values}) == 36
+
+
+def test_fresh_merge_weights_match_oracles():
+    # the walk's memos are keyed by the ids of their operands, so weights
+    # built anew by every merges call must not alias one another
+    def fresh_merges(a, b):
+        return {
+            c: XYPolynomial._raw(dict(weight.terms))
+            for c, weight in cp_product(a, b).items()
+        }
+
+    sweep = _size_at_most_4()
+    for alpha in sweep:
+        for beta in sweep:
+            outcomes = routing_outcomes(alpha, beta, fresh_merges)
+            expected = recursive_product_expand(alpha, beta)
+            assert {
+                parts: value for parts, value in outcomes.items() if value
+            } == {tuple(gamma): value for gamma, value in expected.coeffs.items()}
+            for gamma in expected.support():
+                targeted = routing_outcomes(alpha, beta, fresh_merges, target=gamma)
+                assert targeted[tuple(gamma)] == injection_structure_coefficient(
+                    alpha, beta, gamma
+                )
 
 
 def test_walk_checks_the_degree_limit():
@@ -224,8 +257,8 @@ class TestSharedTables:
                 assert shared == product_expand(alpha, beta)
 
     def test_walks_never_mutate_shared_tables(self):
-        # a walk adds into the terms of values it built itself only;
-        # the values of a shared table are other walks' results
+        # a walk never mutates a value; the values of a shared table
+        # are other walks' results
         sweep = cli._sweep(5, 3)
         tables = cli._SweepTables(5, 3)
         for alpha in sweep:

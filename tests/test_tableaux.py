@@ -24,6 +24,8 @@ from dqsym.tableaux import (
     row_weight_sum,
 )
 
+from oracles import tableau_row_sum
+
 PAPER = WeightConvention.PAPER_LITERAL
 ORACLE = WeightConvention.ORACLE_CONSISTENT
 
@@ -187,13 +189,30 @@ class TestRowWeightSum:
             assert paper_row_sum(c, a, b) == sign(a, b, c) * row_weight_sum(c, a, b)
 
     def test_in_place_sum_matches_plain_sum(self):
-        for c in range(9):
-            for a, b in itertools.product(range(c + 1), repeat=2):
-                plain = sum(
-                    (t.weight(ORACLE) for t in enumerate_tableaux(c, a, b)), zero()
-                )
-                assert row_weight_sum(c, a, b) == plain
+        # the box recursion against the tableau-by-tableau sum: every
+        # shape and content up to 10 boxes, the empty ones too, and long
+        # rows with up to C(12, 6) = 924 tableaux
+        shapes = [
+            (c, a, b) for c in range(11) for a in range(c + 2) for b in range(c + 2)
+        ]
+        shapes += [(c, 12, 12) for c in range(14, 21)]
+        for c, a, b in shapes:
+            plain = tableau_row_sum(c, a, b, ORACLE)
+            assert row_weight_sum(c, a, b) == plain
+            if c < 9:
                 assert paper_row_sum(c, a, b) == sign(a, b, c) * plain
+
+    def test_degree_is_checked_before_the_recursion(self):
+        with pytest.raises(ValueError, match="total degree 300 exceeds"):
+            row_weight_sum(300, 300, 300)
+        # no tableau, so no weight to check
+        assert row_weight_sum(300, 300, 601) == 0
+        # the cache holds (2, 1, 1) and (1, 1, 1), which a float or a
+        # bool equals, but they are no sizes
+        assert row_weight_sum(2, 1, 1) and row_weight_sum(1, 1, 1)
+        for bad in ((-1, 0, 0), (2, 1.0, 1), (True, 1, 1)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                row_weight_sum(*bad)
 
     def test_known_value(self):
         expected = y_var(1) + y_var(2) - y_var(4) - y_var(5)
