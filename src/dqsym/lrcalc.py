@@ -77,6 +77,7 @@ from .polynomial import (
     _UNIT_TERMS,
     XYPolynomial,
     _add_into,
+    _add_terms,
     _check_degree,
     _mul_into,
     _mul_terms,
@@ -200,7 +201,7 @@ def product_expand(
         {
             Composition._raw(parts): value
             for parts, value in outcomes.items()
-            if value
+            if value.terms
         }
     )
 
@@ -241,11 +242,7 @@ def _sum_tables(first: dict, second: dict) -> dict:
     total = dict(first)
     for prefix, terms in second.items():
         old = total.get(prefix)
-        if old is None:
-            total[prefix] = terms
-        else:
-            total[prefix] = old = dict(old)
-            _add_into(old, terms)
+        total[prefix] = terms if old is None else _add_terms(old, terms)
     return total
 
 
@@ -268,30 +265,22 @@ def _prefix_cells(alpha: Composition, beta: Composition, e: dict, w: int) -> dic
     adds a + b - c <= min(a, b) to the degree, so the one check of the
     limit in ``verify_expansion`` covers the walk.
 
-    Values are shared, not copied, until a second write.  Each step
-    visits the tables in increasing k + m + l, so a point's merge
-    predecessor (k - 1, m - 1, l - 1) comes before its lone ones, and
-    the point itself, which places nothing, comes last.  A merge's
-    cells are distinct: a contribution through a non-unit coordinate
-    (a merge's c < a + b) is always a cell's first, stored as a fresh
-    product.  A first contribution through the unit coordinate (a lone
-    part, or a merge's top c = a + b) stores the predecessor's dict as
-    it is.  So every later contribution is through the unit coordinate:
-    it copies a dict that this step did not build, then adds into the
-    copy in place, so no dict is changed once another state holds it.
-    The keys of the nothing move have bit i clear, so they meet no
-    other move's: the point takes its own table, or updates the table
-    its other moves built.  A table is read only when its point is
-    visited, so it is dropped then, and the step's memory falls as it
-    goes."""
+    A dict, once stored in a table, is never changed.  A cell's first
+    contribution is stored as it is (the unit coordinate) or as a fresh
+    ``_mul_terms`` product; a later one replaces it with a fresh
+    ``_add_terms`` sum, so tables share values freely and the order of
+    the visits does not matter.  The keys of the nothing move have bit
+    i clear, so they meet no other move's: the point takes its own
+    table, or updates the table its other moves built.  A table is
+    read only when its point is visited, so it is dropped then, and
+    the step's memory falls as it goes."""
     la, lb = len(alpha), len(beta)
     n = la + lb
     states = {(0, 0, 0): {0: {0: 1}}}
     for i in range(n - 1):
         left = n - 1 - i  # the positions after this one
         walked: dict[tuple[int, int, int], dict] = {}
-        built: set[int] = set()  # ids of the dicts this step made
-        for point in sorted(states, key=sum):
+        for point in list(states):
             k, m, l = point
             table = states.pop(point)
             if la - left <= k and lb - left <= m:
@@ -310,18 +299,9 @@ def _prefix_cells(alpha: Composition, beta: Composition, e: dict, w: int) -> dic
                     bits = 1 << i | c << shift
                     for prefix, terms in table.items():
                         cell = prefix | bits
+                        value = terms if coordinate is None else _mul_terms(terms, coordinate)
                         old = get(cell)
-                        if old is None:
-                            if coordinate is None:
-                                out[cell] = terms
-                            else:
-                                out[cell] = old = _mul_terms(terms, coordinate)
-                                built.add(id(old))
-                            continue
-                        if id(old) not in built:
-                            out[cell] = old = dict(old)
-                            built.add(id(old))
-                        _add_into(old, terms)
+                        out[cell] = value if old is None else _add_terms(old, value)
         states = walked
     return states
 
@@ -406,9 +386,7 @@ def verify_expansion(
                 if other is not None:
                     more = other.get(prefix)
                     if more:
-                        if coordinate is None:
-                            value = dict(value)
-                        _add_into(value, more)
+                        value = _add_terms(value, more)
                 if value:
                     if get(parts | last) != value:
                         return False

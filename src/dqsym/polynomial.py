@@ -45,15 +45,15 @@ does; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
 for a one-term factor as ``*`` does; ``_mul_into(out, a, b)`` adds
 a * b into ``out`` in place.  The two in-place helpers drop the keys
 that cancel.  None of them checks the degree limit: a caller checks it
-first, as ``*`` does.  Of the two walks only the certifier adds in
-place into the values it stores: it shares values and copies on the
-second write, so a key's first contribution stores a value as it is,
-or a fresh ``_mul_terms`` product, and only a later one copies a
-shared dict before adding into it.  The routing walk never mutates a
-value it stores: it hash-conses them, one polynomial per value, and
-computes a product or a sum, into a fresh dict, only the first time it
-meets the pair of operands.  (``tableaux.row_weight_sum`` adds in
-place into dicts of its own.)  The cell walk keys its terms dicts by
+first, as ``*`` does.  Both walks keep one rule: a dict, once stored
+in a table, is never changed.  A value is stored as it is, or as a
+fresh ``_mul_terms`` product or ``_add_terms`` sum, so tables share
+values freely.  (The routing walk also hash-conses its values, one
+polynomial per value, and computes a product or a sum only the first
+time it meets the pair of operands.)  The in-place helpers add only
+into a dict that their caller's own code is still filling:
+``lrcalc._cell_product``, ``tableaux.row_weight_sum`` and
+``substitute``.  The cell walk keys its terms dicts by
 cell prefixes packed into ints as well, in a layout of its own (a bit
 mask of the nonzero x-positions below their parts), described in
 ``lrcalc._prefix_cells``; those keys are never monomials.
@@ -503,8 +503,8 @@ class XYPolynomial(_Record):
 
     def x_degree_component(self, degree: int) -> XYPolynomial:
         """The sum of terms whose total x-degree equals ``degree``."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
+        if not _is_int(degree) or degree < 0:
+            raise ValueError("degree must be a nonnegative integer")
         return XYPolynomial._raw(
             {k: c for k, c in self.terms.items() if k >> 8 & 255 == degree}
         )

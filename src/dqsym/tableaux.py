@@ -93,8 +93,8 @@ class SkewEdgeTableau(_Record):
 
     def labels_right(self, position: int) -> int:
         """Labels strictly right of box ``position``, its own edge excluded."""
-        if not 1 <= position <= self.inner:
-            raise ValueError(f"position must lie in [1, {self.inner}]")
+        if not (_is_int(position) and 1 <= position <= self.inner):
+            raise ValueError(f"position must lie in [1, {self.inner}], got {position!r}")
         return (self.outer - self.inner) + sum(
             1 for j in self.edge_labels if j > position
         )

@@ -489,7 +489,7 @@ class TestVerifyExpansion:
                 assert product_cells(alpha, beta) == expected
 
     def test_prefix_cells_match_oracle(self):
-        # the shared-value walk's tables before the last x-position: at
+        # the cell walk's tables before the last x-position: at
         # (k, m), the cells of M_alpha[:k] * M_beta[:m] in n - 1
         # x-variables, for the four points that reach (len(alpha),
         # len(beta)), decoded from their packed keys, at the narrowest

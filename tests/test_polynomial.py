@@ -219,6 +219,10 @@ class TestDegreeComponents:
         assert p.x_degree_component(1) == x_var(1) * y_var(1)
         assert p.x_degree_component(0) == y_var(2)
         assert p.x_degree_component(3) == zero()
+        # a degree is an int, never a bool or a float
+        for degree in (True, 1.0, -1):
+            with pytest.raises(ValueError):
+                x_var(1).x_degree_component(degree)
 
     def test_components_partition(self):
         rng = random.Random(6)

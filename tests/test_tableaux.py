@@ -56,6 +56,10 @@ class TestSkewEdgeTableau:
         assert tableau.labels_right(2) == 4
         assert tableau.labels_right(3) == 3
         assert tableau.labels_right(4) == 3
+        # a position is an int, never a bool or a float
+        for position in (True, 1.5, 3.0):
+            with pytest.raises(ValueError):
+                SkewEdgeTableau(5, 3, {1, 3}).labels_right(position)
 
     def test_labels_right_no_labels(self):
         tableau = SkewEdgeTableau(3, 3, frozenset())
