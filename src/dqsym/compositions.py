@@ -100,7 +100,7 @@ def enumerate_compositions(max_length: int, max_part: int) -> list[Composition]:
     if not all(_is_int(v) and v >= 0 for v in (max_length, max_part)):
         raise ValueError("bounds must be >= 0")
     found = [
-        Composition(parts)
+        Composition._raw(parts)
         for length in range(max_length + 1)
         for parts in itertools.product(range(1, max_part + 1), repeat=length)
     ]
@@ -134,7 +134,7 @@ def compositions_of_size(size: int, max_length: int, max_part: int) -> list[Comp
                     max(j, size - left * max_part), min(j * max_part, size - left) + 1
                 )
             }
-        found.extend(Composition(parts) for parts in tails.get(size, ()))
+        found.extend(map(Composition._raw, tails.get(size, ())))
     return found
 
 

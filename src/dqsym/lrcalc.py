@@ -44,14 +44,16 @@ one gamma are distinct placements.  Hence it is enough to count: the
 identity holds exactly when every nonzero cell carries the coefficient
 of its gamma, no gamma of the table has more than n parts, and the
 nonzero cells number sum_gamma C(n, len(gamma)) over the table.  The
-check reads each cell as the last x-position is stepped, and no dict
-of all cells is built.  A cell prefix is keyed by one int: a bit for
-each x-position that holds a nonzero entry, and above those n bits
-its gamma, the nonzero entries packed in fields of one width.  So a
-step ORs a constant onto a key, and a cell's gamma is read off its key
-by a shift and an OR, in the table keyed once by packed gamma; no
-tuple is built per cell.  Nothing is claimed for more x-variables
-than n.
+check walks the x-positions in order and reads each cell at the last
+one.  Past the first n - 8 positions the walk splits into independent
+subtrees, one per cell prefix, so it holds the prefixes at that depth
+and the tables of one subtree at a time, never every cell.  A cell
+prefix is keyed by one int: a bit for each x-position that holds a
+nonzero entry, and above those n bits its gamma, the nonzero entries
+packed in fields of one width.  So a step ORs a constant onto a key,
+and a cell's gamma is read off its key by a shift, in the table keyed
+once by packed gamma; no tuple is built per cell.  Nothing is claimed
+for more x-variables than n.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ from .polynomial import (
     _y_key,
     zero,
 )
+
+# x-positions walked at once below the split into subtrees
+_SUBTREE_POSITIONS = 8
 
 
 def _in_convention(
@@ -236,34 +241,35 @@ def _cell_table(alpha: Composition, beta: Composition) -> dict:
     }
 
 
-def _sum_tables(first: dict, second: dict) -> dict:
-    """Two prefix tables summed into a new one; a value of one table
-    alone is shared, and a sum is a fresh dict."""
-    total = dict(first)
-    for prefix, terms in second.items():
-        old = total.get(prefix)
-        total[prefix] = terms if old is None else _add_terms(old, terms)
-    return total
-
-
-def _prefix_cells(alpha: Composition, beta: Composition, e: dict, w: int) -> dict:
-    """The cell prefixes of M_alpha * M_beta over the first n - 1
-    x-positions, n = len(alpha) + len(beta), by (k, m, l): alpha[:k]
-    and beta[:m] placed, in l nonzero entries.  Each table maps a
-    prefix (c_1, ..., c_{n-1}) to its terms dict, which may be empty
-    where sums cancel.  A prefix is keyed by one int, mask | gamma << n:
-    bit i of mask is set where c_{i+1} is nonzero, and the j-th nonzero
-    entry (from 0) sits at bits n + w*j, so ``w`` must hold every part
-    a cell can take.  Only the points from which the last position
-    reaches (len(alpha), len(beta)) are kept.  The walk fills the
-    x-positions in order.  Position i takes nothing, alpha[k], beta[m]
-    or both, with each c of e(a, b) from ``e`` (``_cell_table``), while
-    the remaining parts still fit: a move that places a part ORs the
-    constant 1 << i | c << (n + w*l) onto each key, and the move that
-    places nothing keeps the keys.  Each move's bounds, list e(a, b)
-    and constants are found once per table, not per prefix.  A step
-    adds a + b - c <= min(a, b) to the degree, so the one check of the
-    limit in ``verify_expansion`` covers the walk.
+def _cell_walk(
+    alpha: Composition,
+    beta: Composition,
+    e: dict,
+    w: int,
+    states: dict,
+    start: int,
+    stop: int,
+) -> dict:
+    """The cell walk of M_alpha * M_beta over x-positions start..stop - 1
+    from ``states``, the tables after the first ``start`` positions, by
+    (k, m, l): alpha[:k] and beta[:m] placed, in l nonzero entries.
+    From {(0, 0, 0): {0: unit}} at start = 0, the tables after ``stop``
+    positions are returned.  Each table maps a cell prefix
+    (c_1, ..., c_stop) to its terms dict, which may be empty where sums
+    cancel.  A prefix is keyed by one int, mask | gamma << n,
+    n = len(alpha) + len(beta): bit i of mask is set where c_{i+1} is
+    nonzero, and the j-th nonzero entry (from 0) sits at bits n + w*j,
+    so ``w`` must hold every part a cell can take.  Only the points
+    from which the positions left still reach (len(alpha), len(beta))
+    are kept, so at stop = n the tables are the cells themselves, at
+    the points (len(alpha), len(beta), l).  Position i takes nothing,
+    alpha[k], beta[m] or both, with each c of e(a, b) from ``e``
+    (``_cell_table``), while the remaining parts still fit: a move that
+    places a part ORs the constant 1 << i | c << (n + w*l) onto each
+    key, and the move that places nothing keeps the keys.  Each move's
+    bounds, list e(a, b) and constants are found once per table, not
+    per prefix.  A step adds a + b - c <= min(a, b) to the degree, so
+    the one check of the limit in ``verify_expansion`` covers the walk.
 
     A dict, once stored in a table, is never changed.  A cell's first
     contribution is stored as it is (the unit coordinate) or as a fresh
@@ -271,13 +277,13 @@ def _prefix_cells(alpha: Composition, beta: Composition, e: dict, w: int) -> dic
     ``_add_terms`` sum, so tables share values freely and the order of
     the visits does not matter.  The keys of the nothing move have bit
     i clear, so they meet no other move's: the point takes its own
-    table, or updates the table its other moves built.  A table is
-    read only when its point is visited, so it is dropped then, and
-    the step's memory falls as it goes."""
+    table, or updates the table its other moves built.  So the walk
+    consumes ``states`` and may add keys to its tables, never changing
+    a terms dict.  A table is read only when its point is visited, so
+    it is dropped then, and a step's memory falls as it goes."""
     la, lb = len(alpha), len(beta)
     n = la + lb
-    states = {(0, 0, 0): {0: {0: 1}}}
-    for i in range(n - 1):
+    for i in range(start, stop):
         left = n - 1 - i  # the positions after this one
         walked: dict[tuple[int, int, int], dict] = {}
         for point in list(states):
@@ -315,31 +321,31 @@ def verify_expansion(
     Z[x_1..x_n; y], n = len(alpha) + len(beta), for the table of
     ``product_expand``.
 
-    The first n - 1 positions are walked (``_prefix_cells``), and the
-    last is stepped here, one prefix at a time, without building the
-    cells.  The target (len(alpha), len(beta)) has four predecessors:
-    itself with c = 0, (k - 1, m) with c = alpha[-1], (k, m - 1) with
-    c = beta[-1], and (k - 1, m - 1) with each c of
-    e(alpha[-1], beta[-1]).  A prefix key's high bits, key >> n, are
-    its gamma packed in fields of w bits, so the cell that appends c to
-    a prefix of l nonzero entries has gamma (key >> n) | c << (w*l);
-    the table is keyed once by packed gamma, and w is wide enough for
-    every part of a cell (at most max(alpha) + max(beta)) and of the
-    table, so no two gammas share a key.  The at most three
-    contributions that land on one cell are summed.  Each nonzero cell
-    must carry the coefficient of its gamma.  Distinct cells of one
-    gamma are distinct placements, so the matched cells cover every
-    placement of every gamma of the table exactly when no gamma has
-    more than n parts and they number sum_gamma C(n, len(gamma)); the
-    cells not counted are zero, as the identity needs.
+    The cell walk (``_cell_walk``) runs to depth
+    d = max(0, n - _SUBTREE_POSITIONS), and each nonzero prefix there
+    is walked on to position n as one subtree, with every point that
+    holds it.  A move only ORs bits onto a key above the first d
+    positions, so a cell determines its depth-d prefix, and the
+    subtrees never meet: each cell is summed whole in one subtree, and
+    a prefix that cancels at depth d adds nothing below it.  So beside
+    the prefixes at depth d, only the tables of one subtree of at most
+    ``_SUBTREE_POSITIONS`` positions are held at a time.  A key's high
+    bits, cell >> n, are its gamma packed in fields of w bits; the
+    table is keyed once by packed gamma, and w is wide enough for every
+    part of a cell (at most max(alpha) + max(beta)) and of the table,
+    so no two gammas share a key.  Each nonzero cell must carry the
+    coefficient of its gamma.  Distinct cells of one gamma are distinct
+    placements, so the matched cells cover every placement of every
+    gamma of the table exactly when no gamma has more than n parts and
+    they number sum_gamma C(n, len(gamma)); the cells not counted are
+    zero, as the identity needs.
 
     Raises TypeError unless ``convention`` is a ``WeightConvention``,
     and ValueError before any work when min(|alpha|, |beta|) passes
     the packed-exponent limit."""
     _check_convention(convention)
     _check_degree(min(alpha.size(), beta.size()))
-    la, lb = len(alpha), len(beta)
-    n = la + lb
+    n = len(alpha) + len(beta)
     coeffs = product_expand(alpha, beta, convention).coeffs
     if any(len(gamma) > n for gamma in coeffs):
         return False
@@ -353,50 +359,20 @@ def verify_expansion(
         packed[key] = value.terms
     get = packed.get
     e = _cell_table(alpha, beta)
-    states = _prefix_cells(alpha, beta, e, w)
-    # a part is 0 where its composition is empty
-    a = alpha[-1] if la else 0
-    b = beta[-1] if lb else 0
-    merge_cs = {c for c, _ in e[a, b]}
-    cells = 0
-    # the prefixes hold l < n nonzero entries (l = 0 when n = 0)
-    for l in range(max(n, 1)):
-        shift = w * l
-        # c = 0: only the target itself leads there, and the prefix
-        # holds the gamma (with n = 0 it is the empty cell itself)
-        for prefix, terms in states.get((la, lb, l), {}).items():
+    depth = max(0, n - _SUBTREE_POSITIONS)
+    states = _cell_walk(alpha, beta, e, w, {(0, 0, 0): {0: {0: 1}}}, 0, depth)
+    # a prefix may sit at several points, and its subtree takes them all
+    subtrees: dict[int, dict] = {}
+    for point, table in states.items():
+        for prefix, terms in table.items():
             if terms:
-                if get(prefix >> n) != terms:
-                    return False
-                cells += 1
-        # a lone part's prefixes by its c, summed where the two parts
-        # are equal
-        lone: dict[int, dict] = {}
-        for c, point in ((a, (la - 1, lb, l)), (b, (la, lb - 1, l))):
-            table = states.get(point) if c else None
-            if table:
-                lone[c] = _sum_tables(lone[c], table) if c in lone else table
-        merged = states.get((la - 1, lb - 1, l), {}) if a and b else {}
-        # each c of e(a, b), with the lone prefixes that land on its cells
-        steps = [(c << shift, coordinate, lone.get(c)) for c, coordinate in e[a, b]]
-        for prefix, terms in merged.items():
-            parts = prefix >> n
-            for last, coordinate, other in steps:
-                value = terms if coordinate is None else _mul_terms(terms, coordinate)
-                if other is not None:
-                    more = other.get(prefix)
-                    if more:
-                        value = _add_terms(value, more)
-                if value:
-                    if get(parts | last) != value:
-                        return False
-                    cells += 1
-        for c, table in lone.items():
-            summed = merged if c in merge_cs else {}
-            last = c << shift
-            for prefix, terms in table.items():
-                if terms and prefix not in summed:
-                    if get(prefix >> n | last) != terms:
+                subtrees.setdefault(prefix, {})[point] = {prefix: terms}
+    cells = 0
+    for subtree in subtrees.values():
+        for table in _cell_walk(alpha, beta, e, w, subtree, depth, n).values():
+            for cell, terms in table.items():
+                if terms:
+                    if get(cell >> n) != terms:
                         return False
                     cells += 1
     return cells == sum(math.comb(n, len(gamma)) for gamma in coeffs)

@@ -37,11 +37,10 @@ largest total degree and checks the sum; a polynomial carries no
 degree of its own.
 
 Terms dicts.  The routing walk (``compositions.routing_outcomes``) and
-the certifier's cell walk (``lrcalc._prefix_cells``, and the last step
-in ``lrcalc.verify_expansion``) sum and multiply on terms dicts, not
-on polynomials.  ``_add_into(out, a)`` adds ``a`` into ``out`` in
-place; ``_add_terms(a, b)`` returns a + b as a new dict, as ``+``
-does; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
+the certifier's cell walk (``lrcalc._cell_walk``) sum and multiply on
+terms dicts, not on polynomials.  ``_add_into(out, a)`` adds ``a``
+into ``out`` in place; ``_add_terms(a, b)`` returns a + b as a new
+dict, as ``+`` does; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
 for a one-term factor as ``*`` does; ``_mul_into(out, a, b)`` adds
 a * b into ``out`` in place.  The two in-place helpers drop the keys
 that cancel.  None of them checks the degree limit: a caller checks it
@@ -56,7 +55,7 @@ into a dict that their caller's own code is still filling:
 ``substitute``.  The cell walk keys its terms dicts by
 cell prefixes packed into ints as well, in a layout of its own (a bit
 mask of the nonzero x-positions below their parts), described in
-``lrcalc._prefix_cells``; those keys are never monomials.
+``lrcalc._cell_walk``; those keys are never monomials.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher

@@ -198,12 +198,12 @@ def test_criterion_9_cell_certification():
 
 
 def test_criterion_10_all_lengths_certification():
-    with criterion(10, "certification sweep, sizes <= 4, all lengths"):
-        # the first sweep past three parts: (1,1,1,1) and products in up
-        # to eight x-variables
-        compositions = sweep(4)
-        assert len(compositions) == 16
-        assert max(map(len, compositions)) == 4
+    with criterion(10, "certification sweep, sizes <= 5, all lengths"):
+        # past four parts: (1,1,1,1,1) and products in up to ten
+        # x-variables, so the walk splits into subtrees
+        compositions = sweep(5)
+        assert len(compositions) == 32
+        assert max(map(len, compositions)) == 5
         failures = [
             (alpha, beta)
             for alpha in compositions
@@ -218,4 +218,4 @@ def test_criterion_10_all_lengths_certification():
             for beta in compositions
             if verify_expansion(alpha, beta, PAPER)
         ]
-        assert len(passed) == 31 and all(not alpha or not beta for alpha, beta in passed)
+        assert len(passed) == 63 and all(not alpha or not beta for alpha, beta in passed)

@@ -1,5 +1,6 @@
 """Structure coefficients and certified product expansions."""
 
+import functools
 import itertools
 from collections import Counter
 
@@ -351,60 +352,57 @@ class TestVerifyExpansion:
         assert self._rejected() == 225
 
     @staticmethod
-    def _tampered_prefixes(monkeypatch, edit):
-        # ``edit(states, key)`` edits the prefix tables, with ``key`` the
-        # oracle's packed key of a prefix
-        prefix_cells = lrcalc._prefix_cells
+    def _tampered_cells(monkeypatch, edit):
+        # ``edit(states, key)`` edits the walk's final tables, the cells,
+        # with ``key`` the oracle's packed key of a cell
+        cell_walk = lrcalc._cell_walk
 
-        def tampered(alpha, beta, e, w):
-            states = prefix_cells(alpha, beta, e, w)
+        def tampered(alpha, beta, e, w, states, start, stop):
+            states = cell_walk(alpha, beta, e, w, states, start, stop)
             n = len(alpha) + len(beta)
-            edit(states, lambda cell: pack_cell(cell, n, w))
+            if stop == n:
+                edit(states, lambda cell: pack_cell(cell, n, w))
             return states
 
-        monkeypatch.setattr(lrcalc, "_prefix_cells", tampered)
+        monkeypatch.setattr(lrcalc, "_cell_walk", tampered)
 
     def test_placements_that_disagree_fail(self, monkeypatch):
-        # M_(1) * M_(1) after its first x-position: (0, 0, 0) holds the
-        # prefix (0,), (1, 0, 1) and (0, 1, 1) hold (1,), and (1, 1, 1)
-        # holds (1,) with y2 - y1 and (2,) with 1.  The last position
-        # appends c = 0 from (1, 1), c = 1 from (1, 0) and (0, 1), and
-        # e(1, 1) from (0, 0).  So (1,) carries y2 - y1 at x_1, from
-        # (1, 1), and at x_2, from (0, 0); either one changed, or one
-        # missing, fails
+        # M_(1) * M_(1) ends at (1, 1, 1) with the cells (1, 0) and
+        # (0, 1), y2 - y1 each, and (2, 0) and (0, 2), 1 each, and at
+        # (1, 1, 2) with (1, 1), 2.  So gamma (1,) carries y2 - y1 at x_1
+        # and at x_2; either one changed, or one missing, fails
         def changed_at_x1(states, key):
             table = states[1, 1, 1]
-            table[key((1,))] = (XYPolynomial._raw(table[key((1,))]) + one()).terms
+            table[key((1, 0))] = (XYPolynomial._raw(table[key((1, 0))]) + one()).terms
 
         def changed_at_x2(states, key):
-            # a lone beta part at x_2 adds 1 to the merge's y2 - y1
-            states.setdefault((1, 0, 0), {})[key((0,))] = {0: 1}
+            table = states[1, 1, 1]
+            table[key((0, 1))] = (XYPolynomial._raw(table[key((0, 1))]) + one()).terms
 
         def missing_at_x1(states, key):
-            del states[1, 1, 1][key((1,))]
+            del states[1, 1, 1][key((1, 0))]
 
         def missing_at_x2(states, key):
-            # a lone beta part at x_2 cancels the merge's y2 - y1
-            states.setdefault((1, 0, 0), {})[key((0,))] = (y_var(1) - y_var(2)).terms
+            # a cell whose sum cancels stays as an empty dict
+            states[1, 1, 1][key((0, 1))] = {}
 
         for edit in (changed_at_x1, changed_at_x2, missing_at_x1, missing_at_x2):
-            self._tampered_prefixes(monkeypatch, edit)
+            self._tampered_cells(monkeypatch, edit)
             assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
 
     def test_stray_cell_fails(self, monkeypatch):
         # (3,) at x_1, a gamma off the table: beside every right cell, or
         # in place of (2,) at x_1, so that the cells still number the
-        # table's placements.  (3,) cannot reach x_2 from the prefix
-        # tables, since e(1, 1) has c in {1, 2} only.
+        # table's placements
         def beside(states, key):
-            states[1, 1, 1][key((3,))] = {0: 1}
+            states[1, 1, 1][key((3, 0))] = {0: 1}
 
         def in_place(states, key):
-            del states[1, 1, 1][key((2,))]
-            states[1, 1, 1][key((3,))] = {0: 1}
+            del states[1, 1, 1][key((2, 0))]
+            states[1, 1, 1][key((3, 0))] = {0: 1}
 
         for edit in (beside, in_place):
-            self._tampered_prefixes(monkeypatch, edit)
+            self._tampered_cells(monkeypatch, edit)
             assert verify_expansion(Composition([1]), Composition([1]), ORACLE) is False
 
     def test_gammas_keep_distinct_keys(self, monkeypatch):
@@ -489,37 +487,99 @@ class TestVerifyExpansion:
                 assert product_cells(alpha, beta) == expected
 
     def test_prefix_cells_match_oracle(self):
-        # the cell walk's tables before the last x-position: at
-        # (k, m), the cells of M_alpha[:k] * M_beta[:m] in n - 1
-        # x-variables, for the four points that reach (len(alpha),
+        # the cell walk's tables after n - 1 and after n x-positions: at
+        # (k, m), the cells of M_alpha[:k] * M_beta[:m] in that many
+        # x-variables, for the points that still reach (len(alpha),
         # len(beta)), decoded from their packed keys, at the narrowest
         # field width and a wider one; the table at (k, m, l) holds
         # prefixes of l nonzero entries, and entries that cancel may
-        # stay as empty dicts
+        # stay as empty dicts.  The walk resumed from its own tables
+        # halfway gives the same tables
         for alpha in self.SWEEP:
             for beta in self.SWEEP:
                 la, lb = len(alpha), len(beta)
                 n = la + lb
-                expected = {
-                    (k, m): product_cells(alpha[:k], beta[:m], max(n - 1, 0))
-                    for k in range(max(la - 1, 0), la + 1)
-                    for m in range(max(lb - 1, 0), lb + 1)
-                }
                 e = lrcalc._cell_table(alpha, beta)
                 narrow = (alpha.max_part() + beta.max_part()).bit_length()
-                for w in (narrow, narrow + 3):
-                    found = {}
-                    for (k, m, l), table in lrcalc._prefix_cells(alpha, beta, e, w).items():
-                        cells = found.setdefault((k, m), {})
-                        for key, t in table.items():
-                            prefix = unpack_cell(key, n, w, max(n - 1, 0))
-                            assert sum(map(bool, prefix)) == l
-                            assert prefix not in cells
-                            if t:
-                                cells[prefix] = t
-                    # a point the walk cannot reach in n - 1 positions
-                    # has no cells
-                    assert found == {p: t for p, t in expected.items() if t or p in found}
+                for stop in {max(n - 1, 0), n}:
+                    left = n - stop
+                    expected = {
+                        (k, m): product_cells(alpha[:k], beta[:m], stop)
+                        for k in range(max(la - left, 0), la + 1)
+                        for m in range(max(lb - left, 0), lb + 1)
+                    }
+                    for w in (narrow, narrow + 3):
+                        walk = functools.partial(lrcalc._cell_walk, alpha, beta, e, w)
+                        states = walk({(0, 0, 0): {0: {0: 1}}}, 0, stop)
+                        halfway = walk({(0, 0, 0): {0: {0: 1}}}, 0, stop // 2)
+                        assert walk(halfway, stop // 2, stop) == states
+                        found = {}
+                        for (k, m, l), table in states.items():
+                            cells = found.setdefault((k, m), {})
+                            for key, t in table.items():
+                                cell = unpack_cell(key, n, w, stop)
+                                assert sum(map(bool, cell)) == l
+                                assert cell not in cells
+                                if t:
+                                    cells[cell] = t
+                        # a point the walk cannot reach in ``stop``
+                        # positions has no cells
+                        assert found == {p: t for p, t in expected.items() if t or p in found}
+
+    def test_forced_split_matches_placements_route(self, monkeypatch):
+        # every pair of size <= 4, all lengths, in both conventions, with
+        # subtrees of 0 to 3 x-positions: up to eight positions, so a
+        # split at depth n - 3 up to depth n
+        compositions = compositions_up_to(4)
+        assert len(compositions) == 16
+        expected = {
+            (alpha, beta, convention): placements_verify(alpha, beta, convention)
+            for alpha in compositions
+            for beta in compositions
+            for convention in (ORACLE, PAPER)
+        }
+        for positions in (0, 1, 2, 3):
+            monkeypatch.setattr(lrcalc, "_SUBTREE_POSITIONS", positions)
+            for (alpha, beta, convention), passed in expected.items():
+                assert verify_expansion(alpha, beta, convention) == passed
+
+    def test_forced_split_rejects_tampered_tables(self, monkeypatch):
+        # the dropped, flipped and added gammas, with subtrees of 0 to 3
+        # x-positions
+        for positions in (0, 1, 2, 3):
+            monkeypatch.setattr(lrcalc, "_SUBTREE_POSITIONS", positions)
+            self.test_rejects_dropped_gamma(monkeypatch)
+            self.test_rejects_flipped_sign(monkeypatch)
+            self.test_rejects_added_gamma(monkeypatch)
+
+    def test_forced_split_rejects_one_changed_subtree(self, monkeypatch):
+        # (2, 1) x (1, 2) split at depth 2 of its 4 x-positions: one
+        # nonzero cell changed in the first subtree alone, or in the last
+        # alone, fails
+        monkeypatch.setattr(lrcalc, "_SUBTREE_POSITIONS", 2)
+        alpha, beta = Composition([2, 1]), Composition([1, 2])
+        cell_walk = lrcalc._cell_walk
+        ends = []  # the final tables of each subtree walked
+
+        def walk(alpha, beta, e, w, states, start, stop):
+            states = cell_walk(alpha, beta, e, w, states, start, stop)
+            if stop == len(alpha) + len(beta):
+                ends.append(states)
+                if len(ends) == target:
+                    table = next(t for t in states.values() if any(t.values()))
+                    cell = min(c for c, t in table.items() if t)
+                    table[cell] = (XYPolynomial._raw(table[cell]) + one()).terms
+            return states
+
+        monkeypatch.setattr(lrcalc, "_cell_walk", walk)
+        target = 0
+        assert verify_expansion(alpha, beta, ORACLE)
+        count = len(ends)
+        assert count > 1
+        for target in (1, count):
+            ends.clear()
+            assert verify_expansion(alpha, beta, ORACLE) is False
+            assert len(ends) == target
 
     def test_sweep_rejects_paper_literal(self):
         passed = [
