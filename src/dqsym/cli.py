@@ -22,7 +22,12 @@ import re
 import sys
 from typing import Sequence
 
-from .compositions import Composition, compositions_of_size, overlapping_shuffles
+from .compositions import (
+    Composition,
+    RoutingTables,
+    compositions_of_size,
+    overlapping_shuffles,
+)
 from .lrcalc import expansion_records, structure_coefficient, verify_expansion
 from .polynomial import RecordsEncoder, x_var, zero
 from .qsym import TruncationContext, qsym_generator
@@ -226,17 +231,26 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-class _SweepTables(dict):
+class _SweepTables(RoutingTables):
     """The routing tables of one ``table`` sweep, keyed by suffix pair
-    (u, v) as ``compositions.routing_outcomes`` reads and offers them.
+    (u, v) as ``compositions.routing_outcomes`` reads and offers them,
+    with the walk's memos, which live for the command.
 
     A table is kept only when a later pair can reuse it: either both
     suffixes can recur in a later row, having fewer than ``max_length``
     parts and size below ``max_size``, or u is the current row's alpha
     and v can recur.  ``start_row`` drops the previous row's own tables
     that no later row can use, so at most one row's worth of them is
-    held beside the recurring ones.
+    held beside the recurring ones.  The walk's memos are never
+    dropped: they keep every distinct value of the command, and its
+    products and sums by operand pair, so equal coefficients of
+    different pairs are one object and each product or sum is computed
+    once per command, as the ``RecordsEncoder`` memos encode each value
+    once.  The ids that key them stay safe across ``start_row``, since
+    the memos, not the tables, hold every object they name.
     """
+
+    __slots__ = ("_max_size", "_max_length", "_row")
 
     def __init__(self, max_size: int, max_length: int):
         super().__init__()

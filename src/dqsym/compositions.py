@@ -150,6 +150,22 @@ def enumerate_injections(source_size: int, target_size: int) -> list[tuple[int, 
     return list(itertools.combinations(range(1, target_size + 1), source_size))
 
 
+class RoutingTables(dict):
+    """The routing tables of ``routing_outcomes`` by suffix pair, and
+    the three memos, ``canon``, ``products`` and ``sums``, that
+    hash-cons their values; the walks that share the tables share the
+    memos, which live as long as this mapping (see ``routing_outcomes``).
+    """
+
+    __slots__ = ("canon", "products", "sums")
+
+    def __init__(self):
+        super().__init__()
+        self.canon: dict = {hash(frozenset(_UNIT_TERMS.items())): one()}
+        self.products: dict[int, dict[int, XYPolynomial]] = {}
+        self.sums: dict[tuple[int, int], XYPolynomial] = {}
+
+
 def routing_outcomes(
     alpha: Sequence[int],
     beta: Sequence[int],
@@ -180,24 +196,29 @@ def routing_outcomes(
     it by the sum.  A product with a unit value is the weight itself,
     as ``*`` returns it.
 
-    Each call hash-conses the values it makes.  ``canon`` maps the
-    terms of every value the call built, and of every merge weight, to
-    the one polynomial of that value; a merge weight new to ``canon``
-    is kept as the object ``merges`` gave.  ``products`` maps id(weight),
-    and then id(value), to their canonical product, and ``sums`` maps
-    (id(old), id(value)) to their canonical sum.  So a repeated product
-    or sum is looked up, not computed; only a miss multiplies or adds,
-    into a fresh dict, and equal values the call builds are one object.
-    The state's first lone step of an untargeted walk stores its values
-    with no lookup: one step's keys are distinct, and the table is
-    still empty.
+    The walk hash-conses its values by the three memos of its
+    ``RoutingTables``, which live as long as the tables do.  ``canon``
+    holds the one polynomial of every value built and of every merge
+    weight, keyed by ``hash(frozenset(terms.items()))``, an int; if
+    that int already holds different terms, the value is keyed by the
+    frozenset itself in the same dict, which no int equals, so values
+    stay canonical after a collision.  A merge weight new to ``canon``
+    is kept as the object ``merges`` gave.  ``products`` maps
+    id(weight), and then id(value), to their canonical product, and
+    ``sums`` maps (id(old), id(value)) to their canonical sum.  So a
+    repeated product or sum is looked up, not computed, across every
+    walk that shares the tables; only a miss multiplies or adds, into
+    a fresh dict, and equal values are one object.  The state's first
+    lone step of an untargeted walk stores its values with no lookup:
+    one step's keys are distinct, and the table is still empty.
 
-    Ids key the memos safely because every object they name stays
-    alive until the call returns: weights and built values are held by
-    ``canon``, and the values of the tables read by the tables, which
-    the walk keeps by state.  So no id is reused within a call, even
-    when ``merges`` builds fresh weights on every call.  The three
-    dicts are local to the call and die with it.
+    Ids key the memos safely because every object whose id keys
+    ``products`` or ``sums`` is held by ``canon``, or is the unit
+    ``one()``, for as long as the ``RoutingTables`` lives: weights and
+    built values are interned, and a table's values are built values,
+    weights or the unit.  So no id is reused while the memos hold it,
+    even when a caller drops tables, and even when ``merges`` builds
+    fresh weights on every call.
 
     By the degree of the merges, an entry of state (k, m) has degree
     |alpha[k:]| + |beta[m:]| - |suffix|, at most
@@ -212,15 +233,16 @@ def routing_outcomes(
 
     A table depends only on the suffix pair (alpha[k:], beta[m:]), as
     tuples, so untargeted walks can share them.  ``tables`` is an
-    optional mapping owned by the caller: a state whose suffix pair it
-    holds takes that table, without computing its steps, and every
-    table built is offered to it by item assignment, which may decline
-    to keep it.  Without a mapping the walk gets a fresh dict.  Share
-    one mapping only among walks with the same ``merges``.  The
-    returned table may be held by ``tables``; do not mutate it.
+    optional ``RoutingTables`` owned by the caller: a state whose
+    suffix pair it holds takes that table, without computing its
+    steps, and every table built is offered to it by item assignment,
+    which may decline to keep it.  Without one, and for every targeted
+    walk, the walk makes a fresh ``RoutingTables``.  Share one only
+    among walks with the same ``merges``.  The returned table may be
+    held by ``tables``; do not mutate it.
     """
     if tables is None or target is not None:
-        tables = {}
+        tables = RoutingTables()
     alpha, beta = tuple(alpha), tuple(beta)
     la, lb = len(alpha), len(beta)
     if target is not None:
@@ -228,18 +250,19 @@ def routing_outcomes(
         last = len(target) - 1
     check = min(sum(alpha), sum(beta)) > MAX_DEGREE
     unit = one()
-    # the one polynomial of each value by its terms, and the canonical
-    # product (by weight, then value) and sum by the ids of their operands
-    canon = {frozenset(_UNIT_TERMS.items()): unit}
-    products: dict[int, dict[int, XYPolynomial]] = {}
-    sums: dict[tuple[int, int], XYPolynomial] = {}
+    canon, products, sums = tables.canon, tables.products, tables.sums
 
-    def intern(terms: dict[int, int]) -> XYPolynomial:
-        key = frozenset(terms.items())
-        value = canon.get(key)
-        if value is None:
-            value = canon[key] = XYPolynomial._raw(terms)
-        return value
+    def intern(terms: dict[int, int], value=None) -> XYPolynomial:
+        # the canonical polynomial of terms; on a miss, value or terms wrapped
+        items = frozenset(terms.items())
+        key = hash(items)
+        found = canon.get(key)
+        if found is not None and found.terms != terms:
+            key = items
+            found = canon.get(key)
+        if found is None:
+            found = canon[key] = XYPolynomial._raw(terms) if value is None else value
+        return found
 
     # this walk's tables by state, whatever the mapping keeps
     walked: dict[tuple[int, int], dict] = {}
@@ -268,9 +291,7 @@ def routing_outcomes(
                                     # the object merges gave, not a wrapper,
                                     # so the outcomes equal to it are objects
                                     # later calls and the encoder meet again
-                                    weight = canon.setdefault(
-                                        frozenset(weight.terms.items()), weight
-                                    )
+                                    weight = intern(weight.terms, weight)
                                 steps.append((after, part, weight))
                     if check:
                         size = sum(rest) + sum(beta[m:])

@@ -187,13 +187,14 @@ def product_expand(
     pair (alpha[k:], beta[m:]): its table maps each suffix of gamma's
     parts routing alpha[k:] and beta[m:] to its summed coefficient, so
     paths that share a suffix are merged once.  ``tables`` is the
-    walk's optional caller-owned mapping of those tables, shared by
-    the pairs of one sweep; its tables are oracle-consistent, so one
-    mapping serves both conventions.  The result agrees with
-    ``structure_coefficient`` on every composition.  The walk's
-    outcomes are tuples of positive parts with x-free values, so the
-    result is built unchecked; only the sums that cancel to zero are
-    dropped.
+    walk's optional caller-owned ``compositions.RoutingTables``, shared
+    by the pairs of one sweep together with the memos that hash-cons
+    its values, so equal coefficients of the sweep are one object; its
+    tables are oracle-consistent, so one serves both conventions.  The
+    result agrees with ``structure_coefficient`` on every composition.
+    The walk's outcomes are tuples of positive parts with x-free
+    values, so the result is built unchecked; only the sums that cancel
+    to zero are dropped.
     """
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, tables)
@@ -388,8 +389,9 @@ def expansion_records(
     """Table rows for one product, as (gamma, coefficient) pairs in the
     canonical order: the expansion's ``items``, or with
     ``explicit_zeros`` every composition of ``support_candidates``, a
-    zero coefficient where gamma is outside the support.  ``tables`` is
-    passed to ``product_expand``."""
+    zero coefficient where gamma is outside the support.  ``tables``, an
+    optional ``compositions.RoutingTables``, is passed to
+    ``product_expand``."""
     expansion = product_expand(alpha, beta, convention, tables)
     if not explicit_zeros:
         return expansion.items()

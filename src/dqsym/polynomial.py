@@ -49,8 +49,10 @@ in a table, is never changed.  A value is stored as it is, or as a
 fresh ``_mul_terms`` product or ``_add_terms`` sum, so tables share
 values freely.  (The routing walk also hash-conses its values, one
 polynomial per value, and computes a product or a sum only the first
-time it meets the pair of operands.)  The in-place helpers add only
-into a dict that their caller's own code is still filling:
+time its ``RoutingTables`` meet the pair of operands: once per call,
+or once per command for the walks of a ``table`` sweep.)  The
+in-place helpers add only into a dict that their caller's own code is
+still filling:
 ``lrcalc._cell_product``, ``tableaux.row_weight_sum`` and
 ``substitute``.  The cell walk keys its terms dicts by
 cell prefixes packed into ints as well, in a layout of its own (a bit

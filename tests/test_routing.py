@@ -9,11 +9,15 @@ shared values unchanged, and the ``table`` command's mapping must keep
 only the tables a later pair can reuse.  The walk checks the degree
 limit of the packed exponents from the sizes of its entries.  Each
 walk hash-conses its values by memos keyed by the ids of their
-operands, so equal coefficients are one object, and merge weights
-built afresh by every call must still give the oracles' values.
+operands, which live as long as the tables, so equal coefficients are
+one object across a sweep; merge weights built afresh by every call,
+tables dropped mid-sweep and a collision of the int keys of ``canon``
+must still give the oracles' values.
 """
 
 from math import comb
+
+import gc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +27,7 @@ from dqsym import cli
 from dqsym import compositions as compositions_module
 from dqsym.compositions import (
     Composition,
+    RoutingTables,
     enumerate_compositions,
     routing_outcomes,
 )
@@ -161,15 +166,17 @@ def test_equal_coefficients_are_one_object():
     assert len({id(value) for value in values}) == 36
 
 
+def fresh_merges(a, b):
+    # cp_product's weights, built anew on every call
+    return {
+        c: XYPolynomial._raw(dict(weight.terms))
+        for c, weight in cp_product(a, b).items()
+    }
+
+
 def test_fresh_merge_weights_match_oracles():
     # the walk's memos are keyed by the ids of their operands, so weights
     # built anew by every merges call must not alias one another
-    def fresh_merges(a, b):
-        return {
-            c: XYPolynomial._raw(dict(weight.terms))
-            for c, weight in cp_product(a, b).items()
-        }
-
     sweep = _size_at_most_4()
     for alpha in sweep:
         for beta in sweep:
@@ -213,7 +220,7 @@ def _suffix_pairs(alpha, beta):
 class TestSharedTables:
     def test_walk_offers_each_table_under_its_suffix_pair(self):
         alpha, beta = Composition([2, 1, 3]), Composition([1, 2])
-        tables = {}
+        tables = RoutingTables()
         outcomes = routing_outcomes(alpha, beta, cp_product, tables)
         assert set(tables) == _suffix_pairs(alpha, beta)
         assert tables[tuple(alpha), tuple(beta)] is outcomes
@@ -228,7 +235,7 @@ class TestSharedTables:
             merged.append((a, b))
             return cp_product(a, b)
 
-        tables = {}
+        tables = RoutingTables()
         first = routing_outcomes(alpha, beta, merges, tables)
         assert merged
         merged.clear()
@@ -240,7 +247,7 @@ class TestSharedTables:
         # the tables are oracle-consistent, so one mapping serves both
         # conventions
         sweep = cli._sweep(5, 3)
-        tables = {}
+        tables = RoutingTables()
         for alpha in sweep:
             for beta in sweep:
                 for convention in WeightConvention:
@@ -309,3 +316,48 @@ class TestSharedTables:
         last_row = {(u, v) for u, v in walked if u == last and recurs(v)}
         assert set(tables) == reusable | last_row
         assert len(reusable) == 256
+
+    def test_sweep_coefficients_are_one_object(self):
+        # the memos live as long as the tables, so equal coefficients of
+        # different pairs are one object
+        sweep = cli._sweep(5, 3)
+        tables = cli._SweepTables(5, 3)
+        values = []
+        for alpha in sweep:
+            tables.start_row(alpha)
+            for beta in sweep:
+                expansion = product_expand(alpha, beta, tables=tables)
+                values.extend(expansion.coeffs.values())
+        assert len(set(values)) > 1
+        assert len({id(value) for value in values}) == len(set(values))
+
+    def test_canon_collision_keeps_values_canonical(self):
+        # an int key of canon that holds different terms: the value the
+        # walk builds is keyed by its frozenset, and the seeded object is
+        # never returned
+        built = cp_product(1, 1)[1]
+        seeded = y_var(7) - y_var(3)
+        assert seeded != built
+        sweep = _size_at_most_4()
+        tables = RoutingTables()
+        tables.canon[hash(frozenset(built.terms.items()))] = seeded
+        for alpha in sweep:
+            for beta in sweep:
+                shared = product_expand(alpha, beta, tables=tables)
+                assert shared == product_expand(alpha, beta)
+                assert all(value is not seeded for value in shared.coeffs.values())
+        assert frozenset(built.terms.items()) in tables.canon
+
+    def test_dropped_tables_never_reuse_an_id(self):
+        # weights built anew by every merges call die at once unless
+        # interned, and start_row drops tables; collecting after every
+        # drop gives freed ids to new objects, which must not alias a
+        # memo entry
+        sweep = cli._sweep(5, 3)
+        tables = cli._SweepTables(5, 3)
+        for alpha in sweep:
+            tables.start_row(alpha)
+            gc.collect()
+            for beta in sweep:
+                shared = routing_outcomes(alpha, beta, fresh_merges, tables)
+                assert shared == routing_outcomes(alpha, beta, cp_product)
