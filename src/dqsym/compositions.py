@@ -155,15 +155,20 @@ class RoutingTables(dict):
     the three memos, ``canon``, ``products`` and ``sums``, that
     hash-cons their values; the walks that share the tables share the
     memos, which live as long as this mapping (see ``routing_outcomes``).
+    ``negated`` maps id(value) to -value for the walks' values that
+    ``lrcalc.product_expand`` signs for the paper-literal convention,
+    so equal signed coefficients are one object too; every such value
+    is held by ``canon``, so no id it keys is reused.
     """
 
-    __slots__ = ("canon", "products", "sums")
+    __slots__ = ("canon", "products", "sums", "negated")
 
     def __init__(self):
         super().__init__()
         self.canon: dict = {hash(frozenset(_UNIT_TERMS.items())): one()}
         self.products: dict[int, dict[int, XYPolynomial]] = {}
         self.sums: dict[tuple[int, int], XYPolynomial] = {}
+        self.negated: dict[int, XYPolynomial] = {}
 
 
 def routing_outcomes(

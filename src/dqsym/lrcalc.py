@@ -21,7 +21,8 @@ ORACLE_CONSISTENT and takes its merged rows from
 chi_a * chi_b = sum_c cp_product(a, b)[c] * chi_c is the very table
 it uses.  The PAPER_LITERAL coefficient is the oracle-consistent one
 times (-1)**(|alpha| + |beta| - |gamma|); that sign is applied where a
-coefficient leaves the walk.
+coefficient leaves the walk, one negation per value of the walk's
+memos, so equal signed coefficients are one object too.
 
 ``verify_expansion`` certifies a table in Z[x_1..x_n; y],
 n = len(alpha) + len(beta), with no polynomial in two x-variables.  Over
@@ -52,8 +53,12 @@ prefix is keyed by one int: a bit for each x-position that holds a
 nonzero entry, and above those n bits its gamma, the nonzero entries
 packed in fields of one width.  So a step ORs a constant onto a key,
 and a cell's gamma is read off its key by a shift, in the table keyed
-once by packed gamma; no tuple is built per cell.  Nothing is claimed
-for more x-variables than n.
+once by packed gamma; no tuple is built per cell.  The walks of one
+check hash-cons their values, as the routing walk does but with memos
+of their own that live for the one ``verify_expansion`` call: the
+cells take few distinct values, so each product and sum is computed
+once per check and looked up by the ids of its operands after that.
+Nothing is claimed for more x-variables than n.
 """
 
 from __future__ import annotations
@@ -97,6 +102,7 @@ def _in_convention(
     beta: Sequence[int],
     gamma: Sequence[int],
     convention: WeightConvention,
+    negated: dict[int, XYPolynomial],
 ) -> XYPolynomial:
     """An oracle-consistent coefficient of M_gamma in M_alpha * M_beta,
     written in ``convention``.
@@ -107,12 +113,17 @@ def _in_convention(
     skyline routing alpha and beta onto gamma has
     |alpha| + |beta| - |gamma| of them, and the paper-literal
     coefficient is the oracle-consistent one times
-    (-1)**(|alpha| + |beta| - |gamma|).
+    (-1)**(|alpha| + |beta| - |gamma|).  A negation is looked up in
+    ``negated`` by id(value), and made there on a miss, so the caller
+    must hold every value whose id it keys for as long as it keeps it.
     """
     if convention is WeightConvention.PAPER_LITERAL and (
         sum(alpha) + sum(beta) - sum(gamma)
     ) % 2:
-        return -value
+        found = negated.get(id(value))
+        if found is None:
+            found = negated[id(value)] = -value
+        return found
     return value
 
 
@@ -136,7 +147,7 @@ def structure_coefficient(
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
     value = outcomes.get(tuple(gamma), zero())
-    return _in_convention(value, alpha, beta, gamma, convention)
+    return _in_convention(value, alpha, beta, gamma, convention, {})
 
 
 def skyline_census(
@@ -199,8 +210,9 @@ def product_expand(
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, tables)
     if convention is WeightConvention.PAPER_LITERAL:
+        negated = {} if tables is None else tables.negated
         outcomes = {
-            parts: _in_convention(value, alpha, beta, parts, convention)
+            parts: _in_convention(value, alpha, beta, parts, convention, negated)
             for parts, value in outcomes.items()
         }
     return Expansion._raw(
@@ -231,15 +243,34 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
     return coords
 
 
-def _cell_table(alpha: Composition, beta: Composition) -> dict:
+class _CellTable(dict):
+    """e(a, b) by pair of parts, as ``_cell_table`` builds it, and the
+    three memos, ``canon``, ``products`` and ``sums``, that hash-cons
+    the values of every ``_cell_walk`` given this table; they live as
+    long as this mapping (see ``_cell_walk``).  The routing walk's
+    ``compositions.RoutingTables`` is a separate mapping, so the
+    certifier never meets the rule's values."""
+
+    __slots__ = ("canon", "products", "sums")
+
+    def __init__(self, coordinates):
+        super().__init__(coordinates)
+        self.canon: dict = {}
+        self.products: dict[int, dict[int, dict[int, int]]] = {}
+        self.sums: dict[tuple[int, int], dict[int, int]] = {}
+
+
+def _cell_table(alpha: Composition, beta: Composition) -> _CellTable:
     """e(a, b) as (c, coordinate) pairs, None for the unit coordinate,
     for every pair of parts a position can take: 0 or a part of alpha,
-    and 0 or a part of beta."""
-    return {
-        (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
-        for a in {0, *alpha}
-        for b in {0, *beta}
-    }
+    and 0 or a part of beta, with empty memos for the cell walk."""
+    return _CellTable(
+        {
+            (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
+            for a in {0, *alpha}
+            for b in {0, *beta}
+        }
+    )
 
 
 def _cell_walk(
@@ -273,17 +304,50 @@ def _cell_walk(
     the one check of the limit in ``verify_expansion`` covers the walk.
 
     A dict, once stored in a table, is never changed.  A cell's first
-    contribution is stored as it is (the unit coordinate) or as a fresh
-    ``_mul_terms`` product; a later one replaces it with a fresh
-    ``_add_terms`` sum, so tables share values freely and the order of
-    the visits does not matter.  The keys of the nothing move have bit
-    i clear, so they meet no other move's: the point takes its own
-    table, or updates the table its other moves built.  So the walk
-    consumes ``states`` and may add keys to its tables, never changing
-    a terms dict.  A table is read only when its point is visited, so
-    it is dropped then, and a step's memory falls as it goes."""
+    contribution is stored as it is (the unit coordinate) or as the
+    product of its value by the coordinate; a later one replaces it
+    with the sum, so tables share values freely and the order of the
+    visits does not matter.  The keys of the nothing move have bit i
+    clear, so they meet no other move's: the point takes its own table,
+    or updates the table its other moves built.  So the walk consumes
+    ``states`` and may add keys to its tables, never changing a terms
+    dict.  A table is read only when its point is visited, so it is
+    dropped then, and a step's memory falls as it goes.
+
+    The walk hash-conses its values by the three memos of ``e``, a
+    ``_CellTable``, which live as long as ``e`` does: every walk given
+    one ``e`` shares them.  ``canon`` holds the one dict of every value,
+    keyed by ``hash(frozenset(terms.items()))``, an int; if that int
+    already holds different terms, the value is keyed by the frozenset
+    itself in the same dict, which no int equals.  ``products`` maps
+    id(coordinate), and then id(value), to their canonical product, and
+    ``sums`` maps (id(old), id(value)) to their canonical sum.  Only a
+    miss calls ``_mul_terms`` or ``_add_terms``, into a fresh dict, so
+    equal values are one object.  Ids key the memos safely: the walk
+    first interns the values of ``states``, which may be fresh dicts
+    ``canon`` does not hold, so every table value is held by ``canon``
+    and every coordinate by ``e``; each object whose id keys a memo,
+    and each memo result, is thus held for as long as ``e`` lives, and
+    no id is reused while a memo holds it."""
     la, lb = len(alpha), len(beta)
     n = la + lb
+    canon, products, sums = e.canon, e.products, e.sums
+
+    def intern(terms: dict[int, int]) -> dict[int, int]:
+        # the canonical dict of terms, terms itself on a miss
+        items = frozenset(terms.items())
+        key = hash(items)
+        found = canon.get(key)
+        if found is not None and found != terms:
+            key = items
+            found = canon.get(key)
+        if found is None:
+            found = canon[key] = terms
+        return found
+
+    for table in states.values():
+        for prefix, terms in table.items():
+            table[prefix] = intern(terms)
     for i in range(start, stop):
         left = n - 1 - i  # the positions after this one
         walked: dict[tuple[int, int, int], dict] = {}
@@ -304,11 +368,24 @@ def _cell_walk(
                 get = out.get
                 for c, coordinate in e[alpha[k] if k2 > k else 0, beta[m] if m2 > m else 0]:
                     bits = 1 << i | c << shift
+                    made = None if coordinate is None else products.setdefault(id(coordinate), {})
                     for prefix, terms in table.items():
                         cell = prefix | bits
-                        value = terms if coordinate is None else _mul_terms(terms, coordinate)
+                        if made is None:
+                            value = terms
+                        else:
+                            value = made.get(id(terms))
+                            if value is None:
+                                value = made[id(terms)] = intern(_mul_terms(terms, coordinate))
                         old = get(cell)
-                        out[cell] = value if old is None else _add_terms(old, value)
+                        if old is None:
+                            out[cell] = value
+                        else:
+                            pair = (id(old), id(value))
+                            total = sums.get(pair)
+                            if total is None:
+                                total = sums[pair] = intern(_add_terms(old, value))
+                            out[cell] = total
         states = walked
     return states
 
@@ -339,7 +416,19 @@ def verify_expansion(
     placements, so the matched cells cover every placement of every
     gamma of the table exactly when no gamma has more than n parts and
     they number sum_gamma C(n, len(gamma)); the cells not counted are
-    zero, as the identity needs.
+    zero, as the identity needs.  Each cell is compared by value, never
+    by identity.
+
+    Every walk of one call, the first and each subtree, takes the one
+    ``_cell_table`` of the call, so they share its memos (see
+    ``_cell_walk``): each product of a value by a coordinate, and each
+    sum of two values, is computed once per call, and equal cells are
+    one object.  The memos die with the call.  Their ids stay safe
+    keys because the table's ``canon`` holds every value and the table
+    every coordinate for the whole call, and each subtree's input
+    values, already canonical, are interned again at its start.  The
+    memos are this module's own: the certifier never shares values
+    with the rule's ``compositions.RoutingTables``.
 
     Raises TypeError unless ``convention`` is a ``WeightConvention``,
     and ValueError before any work when min(|alpha|, |beta|) passes

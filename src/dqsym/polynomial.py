@@ -46,13 +46,15 @@ a * b into ``out`` in place.  The two in-place helpers drop the keys
 that cancel.  None of them checks the degree limit: a caller checks it
 first, as ``*`` does.  Both walks keep one rule: a dict, once stored
 in a table, is never changed.  A value is stored as it is, or as a
-fresh ``_mul_terms`` product or ``_add_terms`` sum, so tables share
-values freely.  (The routing walk also hash-conses its values, one
-polynomial per value, and computes a product or a sum only the first
-time its ``RoutingTables`` meet the pair of operands: once per call,
-or once per command for the walks of a ``table`` sweep.)  The
-in-place helpers add only into a dict that their caller's own code is
-still filling:
+product or sum that ``_mul_terms`` or ``_add_terms`` made into a fresh
+dict, so tables share values freely.  Both walks also hash-cons their
+values, one object per value, and compute a product or a sum only the
+first time their memos meet the pair of operands.  The routing walk
+keeps one polynomial per value in its ``RoutingTables``, for one call,
+or for the command in the walks of a ``table`` sweep.  The cell walk
+keeps one terms dict per value in its ``lrcalc._CellTable``, for one
+``verify_expansion`` call.  The in-place helpers add only into a dict
+that their caller's own code is still filling:
 ``lrcalc._cell_product``, ``tableaux.row_weight_sum`` and
 ``substitute``.  The cell walk keys its terms dicts by
 cell prefixes packed into ints as well, in a layout of its own (a bit

@@ -9,13 +9,19 @@ from collections import Counter
 from contextlib import contextmanager
 from math import comb
 
+from dqsym import lrcalc
 from dqsym.compositions import (
     Composition,
     enumerate_compositions,
     overlapping_shuffles,
 )
-from dqsym.lrcalc import product_expand, structure_coefficient, verify_expansion
-from dqsym.polynomial import x_var, y_var, zero
+from dqsym.lrcalc import (
+    product_expand,
+    structure_coefficient,
+    support_candidates,
+    verify_expansion,
+)
+from dqsym.polynomial import one, x_var, y_var, zero
 from dqsym.qsym import Expansion, TruncationContext, double_monomial, expand_in_M, qsym_generator
 from dqsym.tableaux import (
     SkewEdgeTableau,
@@ -197,7 +203,7 @@ def test_criterion_9_cell_certification():
         assert failures == []
 
 
-def test_criterion_10_all_lengths_certification():
+def test_criterion_10_all_lengths_certification(monkeypatch):
     with criterion(10, "certification sweep, sizes <= 5, all lengths"):
         # past four parts: (1,1,1,1,1) and products in up to ten
         # x-variables, so the walk splits into subtrees
@@ -219,3 +225,51 @@ def test_criterion_10_all_lengths_certification():
             if verify_expansion(alpha, beta, PAPER)
         ]
         assert len(passed) == 63 and all(not alpha or not beta for alpha, beta in passed)
+
+        # a table with its first or last gamma dropped or its sign
+        # flipped, or with a gamma added, is rejected on every pair with
+        # the five-part factor (1,1,1,1,1), the walks that split; a
+        # factor M_() leaves no candidate gamma to add inside
+        deepest = [
+            (alpha, beta)
+            for alpha in compositions
+            for beta in compositions
+            if 5 in (len(alpha), len(beta))
+        ]
+        assert len(deepest) == 63
+
+        def drop(position):
+            def edit(coeffs, alpha, beta):
+                del coeffs[sorted(coeffs)[position]]
+
+            return edit
+
+        def flip(position):
+            def edit(coeffs, alpha, beta):
+                gamma = sorted(coeffs)[position]
+                coeffs[gamma] = -coeffs[gamma]
+
+            return edit
+
+        def add_inside(coeffs, alpha, beta):
+            coeffs[next(g for g in support_candidates(alpha, beta) if g not in coeffs)] = one()
+
+        def add_outside(coeffs, alpha, beta):
+            coeffs[Composition([1] * (len(alpha) + len(beta) + 1))] = one()
+
+        edits = [drop(0), drop(-1), flip(0), flip(-1), add_inside, add_outside]
+        for edit in edits:
+            def tampered(alpha, beta, convention=ORACLE, edit=edit):
+                coeffs = dict(product_expand(alpha, beta, convention).coeffs)
+                edit(coeffs, alpha, beta)
+                return Expansion(coeffs)
+
+            monkeypatch.setattr(lrcalc, "product_expand", tampered)
+            pairs = [
+                (alpha, beta)
+                for alpha, beta in deepest
+                if alpha and beta or edit is not add_inside
+            ]
+            assert len(pairs) == (61 if edit is add_inside else 63)
+            accepted = [(a, b) for a, b in pairs if verify_expansion(a, b, ORACLE)]
+            assert accepted == []

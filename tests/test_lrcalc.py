@@ -1,6 +1,7 @@
 """Structure coefficients and certified product expansions."""
 
 import functools
+import gc
 import itertools
 from collections import Counter
 
@@ -525,6 +526,113 @@ class TestVerifyExpansion:
                         # a point the walk cannot reach in ``stop``
                         # positions has no cells
                         assert found == {p: t for p, t in expected.items() if t or p in found}
+
+    @staticmethod
+    def _cells(states, n, w) -> dict:
+        # the nonzero cells of the walk's final tables, decoded
+        return {
+            unpack_cell(key, n, w, n): t
+            for table in states.values()
+            for key, t in table.items()
+            if t
+        }
+
+    DEEP = [
+        (Composition([2, 1]), Composition([1, 2])),
+        (Composition([1, 1, 1]), Composition([2, 1, 1])),
+        (Composition([1] * 5), Composition([1] * 4)),
+    ]
+
+    def test_equal_cells_are_one_object(self, monkeypatch):
+        # one verify_expansion hash-conses the values of all its walks,
+        # the first and every subtree, so equal nonzero cells are one
+        # object, split or not
+        cell_walk = lrcalc._cell_walk
+        cells = []
+
+        def walk(alpha, beta, e, w, states, start, stop):
+            states = cell_walk(alpha, beta, e, w, states, start, stop)
+            if stop == len(alpha) + len(beta):
+                cells.extend(t for table in states.values() for t in table.values() if t)
+            return states
+
+        monkeypatch.setattr(lrcalc, "_cell_walk", walk)
+        for positions in (8, 2):
+            monkeypatch.setattr(lrcalc, "_SUBTREE_POSITIONS", positions)
+            for alpha, beta in self.DEEP:
+                cells.clear()
+                assert verify_expansion(alpha, beta, ORACLE)
+                distinct = {frozenset(t.items()) for t in cells}
+                assert len(cells) > len(distinct) > 1
+                assert len({id(t) for t in cells}) == len(distinct)
+
+    def test_each_product_and_sum_made_once(self, monkeypatch):
+        # the memos live for the whole verify_expansion: no product of a
+        # coordinate by a value, and no sum of two values, is computed
+        # twice, across positions and subtrees alike
+        made = Counter()
+        mul_terms, add_terms = lrcalc._mul_terms, lrcalc._add_terms
+
+        def mul(terms, coordinate):
+            made["mul", id(coordinate), frozenset(terms.items())] += 1
+            return mul_terms(terms, coordinate)
+
+        def add(old, value):
+            made["add", frozenset(old.items()), frozenset(value.items())] += 1
+            return add_terms(old, value)
+
+        monkeypatch.setattr(lrcalc, "_mul_terms", mul)
+        monkeypatch.setattr(lrcalc, "_add_terms", add)
+        monkeypatch.setattr(lrcalc, "_SUBTREE_POSITIONS", 3)
+        for alpha, beta in self.DEEP:
+            made.clear()
+            assert verify_expansion(alpha, beta, ORACLE)
+            assert made and set(made.values()) == {1}
+
+    def test_canon_collision_keeps_cells_canonical(self):
+        # every int key of canon that the walk's values take, seeded with
+        # different terms: each value the walk builds is keyed by its
+        # frozenset instead, and no seeded dict is ever returned
+        for alpha, beta in self.DEEP:
+            n = len(alpha) + len(beta)
+            w = (alpha.max_part() + beta.max_part()).bit_length()
+            start = {(0, 0, 0): {0: {0: 1}}}
+            built = lrcalc._cell_walk(alpha, beta, lrcalc._cell_table(alpha, beta), w, start, 0, n)
+            values = {frozenset(t.items()) for table in built.values() for t in table.values()}
+            e = lrcalc._cell_table(alpha, beta)
+            seeded = {}
+            for items in values:
+                seeded[items] = {0: -1000 - len(seeded)}
+                assert seeded[items] != dict(items)
+                e.canon[hash(items)] = seeded[items]
+            states = lrcalc._cell_walk(alpha, beta, e, w, {(0, 0, 0): {0: {0: 1}}}, 0, n)
+            assert self._cells(states, n, w) == product_cells(alpha, beta)
+            ids = {id(t) for t in seeded.values()}
+            assert all(id(t) not in ids for table in states.values() for t in table.values())
+            assert values <= set(e.canon)
+
+    def test_shared_memos_never_reuse_an_id(self):
+        # several walks on one table, each from fresh input dicts that
+        # canon does not hold, resumed at every position; collecting
+        # between walks gives freed ids to new dicts, which must not
+        # alias a memo entry
+        for alpha, beta in self.DEEP:
+            n = len(alpha) + len(beta)
+            w = (alpha.max_part() + beta.max_part()).bit_length()
+            expected = product_cells(alpha, beta)
+            e = lrcalc._cell_table(alpha, beta)
+            walk = functools.partial(lrcalc._cell_walk, alpha, beta, e, w)
+            fresh = self._cells(walk({(0, 0, 0): {0: {0: 1}}}, 0, n), n, w)
+            assert fresh == expected
+            for half in range(n + 1):
+                gc.collect()
+                halfway = walk({(0, 0, 0): {0: {0: 1}}}, 0, half)
+                halfway = {
+                    point: {key: dict(t) for key, t in table.items()}
+                    for point, table in halfway.items()
+                }
+                gc.collect()
+                assert self._cells(walk(halfway, half, n), n, w) == expected
 
     def test_forced_split_matches_placements_route(self, monkeypatch):
         # every pair of size <= 4, all lengths, in both conventions, with

@@ -10,7 +10,7 @@ only the tables a later pair can reuse.  The walk checks the degree
 limit of the packed exponents from the sizes of its entries.  Each
 walk hash-conses its values by memos keyed by the ids of their
 operands, which live as long as the tables, so equal coefficients are
-one object across a sweep; merge weights built afresh by every call,
+one object across a sweep, in either convention; merge weights built afresh by every call,
 tables dropped mid-sweep and a collision of the int keys of ``canon``
 must still give the oracles' values.
 """
@@ -319,17 +319,19 @@ class TestSharedTables:
 
     def test_sweep_coefficients_are_one_object(self):
         # the memos live as long as the tables, so equal coefficients of
-        # different pairs are one object
+        # different pairs are one object, in either convention: a
+        # paper-literal sign is memoized beside them
         sweep = cli._sweep(5, 3)
-        tables = cli._SweepTables(5, 3)
-        values = []
-        for alpha in sweep:
-            tables.start_row(alpha)
-            for beta in sweep:
-                expansion = product_expand(alpha, beta, tables=tables)
-                values.extend(expansion.coeffs.values())
-        assert len(set(values)) > 1
-        assert len({id(value) for value in values}) == len(set(values))
+        for convention in WeightConvention:
+            tables = cli._SweepTables(5, 3)
+            values = []
+            for alpha in sweep:
+                tables.start_row(alpha)
+                for beta in sweep:
+                    expansion = product_expand(alpha, beta, convention, tables)
+                    values.extend(expansion.coeffs.values())
+            assert len(set(values)) > 1
+            assert len({id(value) for value in values}) == len(set(values))
 
     def test_canon_collision_keeps_values_canonical(self):
         # an int key of canon that holds different terms: the value the
