@@ -150,25 +150,34 @@ def enumerate_injections(source_size: int, target_size: int) -> list[tuple[int, 
     return list(itertools.combinations(range(1, target_size + 1), source_size))
 
 
+# canon's key of the unit value, whose object every RoutingTables seeds
+_UNIT_KEY = hash(frozenset(_UNIT_TERMS.items()))
+
+
 class RoutingTables(dict):
     """The routing tables of ``routing_outcomes`` by suffix pair, and
     the three memos, ``canon``, ``products`` and ``sums``, that
     hash-cons their values; the walks that share the tables share the
     memos, which live as long as this mapping (see ``routing_outcomes``).
+    ``merged`` maps the parts (a, b) to the walk's merge steps for
+    them, (part, weight) pairs, weight ``None`` for a unit weight and
+    else the weight interned in ``canon``: ``merges(a, b)`` is asked
+    once per (a, b) for as long as the mapping lives.
     ``negated`` maps id(value) to -value for the walks' values that
     ``lrcalc.product_expand`` signs for the paper-literal convention,
     so equal signed coefficients are one object too; every such value
     is held by ``canon``, so no id it keys is reused.
     """
 
-    __slots__ = ("canon", "products", "sums", "negated")
+    __slots__ = ("canon", "products", "sums", "negated", "merged")
 
     def __init__(self):
         super().__init__()
-        self.canon: dict = {hash(frozenset(_UNIT_TERMS.items())): one()}
+        self.canon: dict = {_UNIT_KEY: one()}
         self.products: dict[int, dict[int, XYPolynomial]] = {}
         self.sums: dict[tuple[int, int], XYPolynomial] = {}
         self.negated: dict[int, XYPolynomial] = {}
+        self.merged: dict[tuple[int, int], tuple] = {}
 
 
 def routing_outcomes(
@@ -217,13 +226,23 @@ def routing_outcomes(
     lone step of an untargeted walk stores its values with no lookup:
     one step's keys are distinct, and the table is still empty.
 
+    A fourth memo, ``merged``, holds the merge steps by parts (a, b).
+    The first state that meets (a, b) asks ``merges(a, b)`` and stores
+    its (part, weight) pairs, the weight ``None`` for a unit weight and
+    else interned in ``canon``; every later state, of this walk or of
+    any walk that shares the tables, reads them.  So ``merges`` is
+    asked once per (a, b) for as long as the tables live: for one call
+    without tables, and for every targeted walk, or for a whole sweep
+    that shares them, such as the ``table`` command's.
+
     Ids key the memos safely because every object whose id keys
     ``products`` or ``sums`` is held by ``canon``, or is the unit
     ``one()``, for as long as the ``RoutingTables`` lives: weights and
     built values are interned, and a table's values are built values,
     weights or the unit.  So no id is reused while the memos hold it,
     even when a caller drops tables, and even when ``merges`` builds
-    fresh weights on every call.
+    fresh weights on every call; the weights of ``merged`` are held by
+    ``canon`` too.
 
     By the degree of the merges, an entry of state (k, m) has degree
     |alpha[k:]| + |beta[m:]| - |suffix|, at most
@@ -234,7 +253,9 @@ def routing_outcomes(
     With a ``target`` composition the walk keeps only the suffixes that
     end ``target``, so it returns only the outcomes that end ``target``:
     ``target`` itself when it has a routing, and any shorter outcome
-    that ends it.  A targeted walk never reads or writes ``tables``.
+    that ends it.  A targeted walk never builds a suffix pair, and
+    never reads or writes ``tables`` or the table mapping of the fresh
+    ``RoutingTables`` it makes: only that one's memos serve it.
 
     A table depends only on the suffix pair (alpha[k:], beta[m:]), as
     tuples, so untargeted walks can share them.  ``tables`` is an
@@ -243,7 +264,8 @@ def routing_outcomes(
     steps, and every table built is offered to it by item assignment,
     which may decline to keep it.  Without one, and for every targeted
     walk, the walk makes a fresh ``RoutingTables``.  Share one only
-    among walks with the same ``merges``.  The returned table may be
+    among walks with the same ``merges``, since its tables and its
+    ``merged`` steps both come from them.  The returned table may be
     held by ``tables``; do not mutate it.
     """
     if tables is None or target is not None:
@@ -256,6 +278,7 @@ def routing_outcomes(
     check = min(sum(alpha), sum(beta)) > MAX_DEGREE
     unit = one()
     canon, products, sums = tables.canon, tables.products, tables.sums
+    merged = tables.merged
 
     def intern(terms: dict[int, int], value=None) -> XYPolynomial:
         # the canonical polynomial of terms; on a miss, value or terms wrapped
@@ -274,8 +297,11 @@ def routing_outcomes(
     for k in range(la, -1, -1):
         rest = alpha[k:]
         for m in range(lb, -1, -1):
-            pair = (rest, beta[m:])
-            table = tables.get(pair)
+            if target is None:
+                pair = (rest, beta[m:])
+                table = tables.get(pair)
+            else:
+                table = None
             if table is None:
                 if k == la and m == lb:
                     table = {(): unit}
@@ -288,15 +314,23 @@ def routing_outcomes(
                         steps.append((walked[k, m + 1], beta[m], None))
                         if k < la:
                             after = walked[k + 1, m + 1]
-                            for part, weight in merges(alpha[k], beta[m]).items():
-                                if weight.terms == _UNIT_TERMS:
-                                    weight = None
-                                else:
-                                    # held by canon, so its id is never reused;
-                                    # the object merges gave, not a wrapper,
-                                    # so the outcomes equal to it are objects
-                                    # later calls and the encoder meet again
-                                    weight = intern(weight.terms, weight)
+                            parts = (alpha[k], beta[m])
+                            merge_steps = merged.get(parts)
+                            if merge_steps is None:
+                                fresh = []
+                                for part, weight in merges(*parts).items():
+                                    if weight.terms == _UNIT_TERMS:
+                                        weight = None
+                                    else:
+                                        # held by canon, so its id is never
+                                        # reused; the object merges gave,
+                                        # not a wrapper, so the outcomes
+                                        # equal to it are objects later
+                                        # calls and the encoder meet again
+                                        weight = intern(weight.terms, weight)
+                                    fresh.append((part, weight))
+                                merge_steps = merged[parts] = tuple(fresh)
+                            for part, weight in merge_steps:
                                 steps.append((after, part, weight))
                     if check:
                         size = sum(rest) + sum(beta[m:])
@@ -340,7 +374,8 @@ def routing_outcomes(
                                 total = intern(_add_terms(old.terms, value.terms))
                                 sums[sk] = total
                             table[key] = total
-                tables[pair] = table
+                if target is None:
+                    tables[pair] = table
             walked[k, m] = table
     return walked[0, 0]
 

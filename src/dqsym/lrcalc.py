@@ -19,10 +19,13 @@ factors row by row along each path.  The walk computes under
 ORACLE_CONSISTENT and takes its merged rows from
 ``tableaux.cp_product``, so the one-variable identity
 chi_a * chi_b = sum_c cp_product(a, b)[c] * chi_c is the very table
-it uses.  The PAPER_LITERAL coefficient is the oracle-consistent one
-times (-1)**(|alpha| + |beta| - |gamma|); that sign is applied where a
-coefficient leaves the walk, one negation per value of the walk's
-memos, so equal signed coefficients are one object too.
+it uses.  The walk reads ``cp_product(a, b)`` once per pair of parts
+(a, b) for as long as its ``RoutingTables`` live: once per call, or
+once per command in a ``table`` sweep.  The PAPER_LITERAL coefficient
+is the oracle-consistent one times (-1)**(|alpha| + |beta| - |gamma|);
+that sign is applied where a coefficient leaves the walk, one negation
+per value of the walk's memos, so equal signed coefficients are one
+object too.
 
 ``verify_expansion`` certifies a table in Z[x_1..x_n; y],
 n = len(alpha) + len(beta), with no polynomial in two x-variables.  Over
@@ -102,7 +105,6 @@ def _in_convention(
     beta: Sequence[int],
     gamma: Sequence[int],
     convention: WeightConvention,
-    negated: dict[int, XYPolynomial],
 ) -> XYPolynomial:
     """An oracle-consistent coefficient of M_gamma in M_alpha * M_beta,
     written in ``convention``.
@@ -113,17 +115,12 @@ def _in_convention(
     skyline routing alpha and beta onto gamma has
     |alpha| + |beta| - |gamma| of them, and the paper-literal
     coefficient is the oracle-consistent one times
-    (-1)**(|alpha| + |beta| - |gamma|).  A negation is looked up in
-    ``negated`` by id(value), and made there on a miss, so the caller
-    must hold every value whose id it keys for as long as it keeps it.
+    (-1)**(|alpha| + |beta| - |gamma|).
     """
     if convention is WeightConvention.PAPER_LITERAL and (
         sum(alpha) + sum(beta) - sum(gamma)
     ) % 2:
-        found = negated.get(id(value))
-        if found is None:
-            found = negated[id(value)] = -value
-        return found
+        return -value
     return value
 
 
@@ -147,7 +144,7 @@ def structure_coefficient(
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
     value = outcomes.get(tuple(gamma), zero())
-    return _in_convention(value, alpha, beta, gamma, convention, {})
+    return _in_convention(value, alpha, beta, gamma, convention)
 
 
 def skyline_census(
@@ -210,11 +207,20 @@ def product_expand(
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, tables)
     if convention is WeightConvention.PAPER_LITERAL:
+        # the sign of _in_convention, with |alpha| + |beta| summed once;
+        # a negation is memoized by id(value), a value that the tables'
+        # canon holds, or the outcomes while a memo of this call lives
         negated = {} if tables is None else tables.negated
-        outcomes = {
-            parts: _in_convention(value, alpha, beta, parts, convention, negated)
-            for parts, value in outcomes.items()
-        }
+        total = sum(alpha) + sum(beta)
+        signed = {}
+        for parts, value in outcomes.items():
+            if (total - sum(parts)) % 2:
+                found = negated.get(id(value))
+                if found is None:
+                    found = negated[id(value)] = -value
+                value = found
+            signed[parts] = value
+        outcomes = signed
     return Expansion._raw(
         {
             Composition._raw(parts): value

@@ -40,25 +40,27 @@ Terms dicts.  The routing walk (``compositions.routing_outcomes``) and
 the certifier's cell walk (``lrcalc._cell_walk``) sum and multiply on
 terms dicts, not on polynomials.  ``_add_into(out, a)`` adds ``a``
 into ``out`` in place; ``_add_terms(a, b)`` returns a + b as a new
-dict, as ``+`` does; ``_mul_terms(a, b)`` returns a * b as a new dict, shifting keys
-for a one-term factor as ``*`` does; ``_mul_into(out, a, b)`` adds
-a * b into ``out`` in place.  The two in-place helpers drop the keys
-that cancel.  None of them checks the degree limit: a caller checks it
-first, as ``*`` does.  Both walks keep one rule: a dict, once stored
-in a table, is never changed.  A value is stored as it is, or as a
-product or sum that ``_mul_terms`` or ``_add_terms`` made into a fresh
-dict, so tables share values freely.  Both walks also hash-cons their
-values, one object per value, and compute a product or a sum only the
-first time their memos meet the pair of operands.  The routing walk
-keeps one polynomial per value in its ``RoutingTables``, for one call,
-or for the command in the walks of a ``table`` sweep.  The cell walk
-keeps one terms dict per value in its ``lrcalc._CellTable``, for one
-``verify_expansion`` call.  The in-place helpers add only into a dict
-that their caller's own code is still filling:
-``lrcalc._cell_product``, ``tableaux.row_weight_sum`` and
-``substitute``.  The cell walk keys its terms dicts by
-cell prefixes packed into ints as well, in a layout of its own (a bit
-mask of the nonzero x-positions below their parts), described in
+dict, as ``+`` does, by a loop of its own, so a sum that the walks'
+memos miss is one call; ``_mul_terms(a, b)`` returns a * b as a new
+dict, shifting keys for a one-term factor as ``*`` does;
+``_mul_into(out, a, b)`` adds a * b into ``out`` in place.  The two
+sums and ``_mul_into`` drop the keys that cancel.  None of them checks
+the degree limit: a caller checks it first, as ``*`` does.  Both walks
+keep one rule: a dict, once stored in a table, is never changed.  A
+value is stored as it is, or as a product or sum that ``_mul_terms``
+or ``_add_terms`` made into a fresh dict, so tables share values
+freely.  Both walks also hash-cons their values, one object per value,
+and compute a product or a sum only the first time their memos meet
+the pair of operands.  The routing walk keeps one polynomial per
+value, and its merge steps for each pair of parts, in its
+``RoutingTables``, for one call, or for the command in the walks of a
+``table`` sweep.  The cell walk keeps one terms dict per value in its
+``lrcalc._CellTable``, for one ``verify_expansion`` call.  The
+in-place helpers add only into a dict that their caller's own code is
+still filling: ``lrcalc._cell_product``, ``tableaux.row_weight_sum``
+and ``substitute``.  The cell walk keys its terms dicts by cell
+prefixes packed into ints as well, in a layout of its own (a bit mask
+of the nonzero x-positions below their parts), described in
 ``lrcalc._cell_walk``; those keys are never monomials.
 
 Order.  The canonical term order, used for printing and serialization,
@@ -260,11 +262,21 @@ def _add_into(out: dict[int, int], terms: Mapping[int, int]) -> None:
 
 
 def _add_terms(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """a + b as a new terms dict: the larger copied, the smaller added in."""
+    """a + b as a new terms dict: the larger copied, the smaller added in
+    by a loop of its own, so a sum is one call."""
     if len(a) < len(b):
         a, b = b, a
     out = dict(a)
-    _add_into(out, b)
+    for k, c in b.items():
+        v = out.get(k)
+        if v is None:
+            out[k] = c
+        else:
+            v += c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
     return out
 
 

@@ -9,6 +9,8 @@ from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     Monomial,
     XYPolynomial,
+    _add_into,
+    _add_terms,
     constant,
     one,
     x_var,
@@ -158,6 +160,25 @@ class TestArithmetic:
             for xs, ys in sample_points(3, 3, 4, seed=rng.randint(0, 10**6)):
                 assert eval_poly(p + q, xs, ys) == eval_poly(p, xs, ys) + eval_poly(q, xs, ys)
                 assert eval_poly(p * q, xs, ys) == eval_poly(p, xs, ys) * eval_poly(q, xs, ys)
+
+
+def test_add_terms_matches_add_into_on_a_copy():
+    # the walks' sum helper: a fresh dict, neither operand changed
+    rng = random.Random(29)
+    polys = [random_poly(rng, 8) for _ in range(100)]
+    pairs = list(zip(polys, polys[1:]))
+    # full cancellation, and a zero operand
+    pairs += [(p, -p) for p in polys if p.terms] + [(p, zero()) for p in polys[:5]]
+    assert any(not (p + q).terms for p, q in pairs)
+    for p, q in pairs:
+        for a, b in ((p.terms, q.terms), (q.terms, p.terms)):
+            kept = (dict(a), dict(b))
+            expected = dict(a)
+            _add_into(expected, b)
+            total = _add_terms(a, b)
+            assert total == expected == (p + q).terms
+            assert total is not a and total is not b
+            assert (a, b) == kept
 
 
 class TestSubstitute:

@@ -12,7 +12,9 @@ walk hash-conses its values by memos keyed by the ids of their
 operands, which live as long as the tables, so equal coefficients are
 one object across a sweep, in either convention; merge weights built afresh by every call,
 tables dropped mid-sweep and a collision of the int keys of ``canon``
-must still give the oracles' values.
+must still give the oracles' values.  The walk asks ``merges`` once
+per pair of parts for as long as its tables live, and never reads
+the merge steps of another walk's tables.
 """
 
 from math import comb
@@ -29,6 +31,7 @@ from dqsym.compositions import (
     Composition,
     RoutingTables,
     enumerate_compositions,
+    overlapping_shuffles,
     routing_outcomes,
 )
 from dqsym.lrcalc import product_expand, structure_coefficient
@@ -36,7 +39,11 @@ from dqsym.polynomial import XYPolynomial, one, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention, cp_product
 
-from oracles import injection_structure_coefficient, recursive_product_expand
+from oracles import (
+    injection_overlapping_shuffles,
+    injection_structure_coefficient,
+    recursive_product_expand,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -190,6 +197,80 @@ def test_fresh_merge_weights_match_oracles():
                 assert targeted[tuple(gamma)] == injection_structure_coefficient(
                     alpha, beta, gamma
                 )
+
+
+def _asking(merges=cp_product):
+    # merges, with the list of the (a, b) it is asked for
+    asked = []
+
+    def counting(a, b):
+        asked.append((a, b))
+        return merges(a, b)
+
+    return asked, counting
+
+
+def _nonzero(outcomes):
+    return {parts: value for parts, value in outcomes.items() if value}
+
+
+def _expected(alpha, beta):
+    return {
+        tuple(gamma): value
+        for gamma, value in recursive_product_expand(alpha, beta).coeffs.items()
+    }
+
+
+class TestMergeMemo:
+    # parts repeat, so the walk's 25 merge states meet 4 pairs (a, b)
+    ALPHA, BETA = Composition([1, 2, 1, 1, 2]), Composition([1, 1, 2, 1, 2])
+    PAIRS = {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+    def test_walk_asks_each_merge_once(self):
+        asked, merges = _asking()
+        outcomes = routing_outcomes(self.ALPHA, self.BETA, merges)
+        assert sorted(asked) == sorted(self.PAIRS)
+        assert _nonzero(outcomes) == _expected(self.ALPHA, self.BETA)
+
+    def test_shared_tables_ask_each_merge_once_in_total(self):
+        # the memo lives as long as the tables: a pair (a, b) met by an
+        # earlier walk is not asked for again, whatever its suffixes
+        asked, merges = _asking(fresh_merges)
+        sweep = _size_at_most_4()
+        tables = RoutingTables()
+        for alpha in sweep:
+            for beta in sweep:
+                outcomes = routing_outcomes(alpha, beta, merges, tables)
+                assert _nonzero(outcomes) == _expected(alpha, beta)
+        assert sorted(asked) == sorted(set(asked))
+        assert set(asked) == {(a, b) for a in range(1, 5) for b in range(1, 5)}
+        assert set(tables.merged) == set(asked)
+
+    def test_targeted_walk_asks_each_merge_once_and_keeps_no_tables(self):
+        asked, merges = _asking()
+        tables = RoutingTables()
+        expansion = product_expand(self.ALPHA, self.BETA)
+        gamma = max(expansion.support(), key=len)
+        outcomes = routing_outcomes(self.ALPHA, self.BETA, merges, tables, gamma)
+        assert sorted(asked) == sorted(self.PAIRS)
+        assert outcomes[tuple(gamma)] == expansion[gamma]
+        assert outcomes[tuple(gamma)] == injection_structure_coefficient(
+            self.ALPHA, self.BETA, gamma
+        )
+        assert not tables and not tables.merged
+        assert list(tables.canon.values()) == [one()]
+
+    def test_memo_is_per_tables(self):
+        # walks of two merges that meet the same pairs (a, b) with other
+        # weights, in turn: no walk reads another's merge steps
+        alpha, beta = self.ALPHA, self.BETA
+        for _ in range(2):
+            assert _nonzero(routing_outcomes(alpha, beta, cp_product)) == (
+                _expected(alpha, beta)
+            )
+            assert overlapping_shuffles(alpha, beta) == (
+                injection_overlapping_shuffles(alpha, beta)
+            )
 
 
 def test_walk_checks_the_degree_limit():
