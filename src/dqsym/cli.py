@@ -9,8 +9,10 @@ Compositions are written as comma-separated positive integers, the
 empty string standing for the empty composition.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on usage errors and bad input:
 any ``ValueError`` from the library ends the command with a one-line
-message on stderr; 141 (128 + SIGPIPE) when the reader closes stdout
-early, as ``head`` does, with nothing on stderr.
+message on stderr, and so does a ``MemoryError``, raised when an input
+is too large to compute in the memory the process may take; 141
+(128 + SIGPIPE) when the reader closes stdout early, as ``head`` does,
+with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -234,7 +236,8 @@ def cmd_verify(args) -> int:
 class _SweepTables(RoutingTables):
     """The routing tables of one ``table`` sweep, keyed by suffix pair
     (u, v) as ``compositions.routing_outcomes`` reads and offers them,
-    with the walk's memos, which live for the command.
+    with the walk's memos, those of ``compositions.RoutingTables``,
+    which live for the command.
 
     A table is kept only when a later pair can reuse it: either both
     suffixes can recur in a later row, having fewer than ``max_length``
@@ -447,10 +450,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         # bad input: parse errors, negative bounds, truncations too small,
-        # polynomials outside the span, degrees past the packed limit
-        print(f"error: {exc}", file=sys.stderr)
+        # polynomials outside the span, degrees past the packed limit, and
+        # inputs too large for the memory the process may take, whose
+        # MemoryError most often has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -23,6 +23,7 @@ from .polynomial import (
     _UNIT_TERMS,
     MAX_DEGREE,
     XYPolynomial,
+    _HashCons,
     _add_terms,
     _check_degree,
     _is_int,
@@ -150,15 +151,11 @@ def enumerate_injections(source_size: int, target_size: int) -> list[tuple[int, 
     return list(itertools.combinations(range(1, target_size + 1), source_size))
 
 
-# canon's key of the unit value, whose object every RoutingTables seeds
-_UNIT_KEY = hash(frozenset(_UNIT_TERMS.items()))
-
-
-class RoutingTables(dict):
-    """The routing tables of ``routing_outcomes`` by suffix pair, and
-    the three memos, ``canon``, ``products`` and ``sums``, that
-    hash-cons their values; the walks that share the tables share the
-    memos, which live as long as this mapping (see ``routing_outcomes``).
+class RoutingTables(_HashCons):
+    """The routing tables of ``routing_outcomes`` by suffix pair, with
+    the memos of ``polynomial._HashCons`` that hash-cons their values,
+    and two more; the walks that share the tables share the memos,
+    which live as long as this mapping (see ``routing_outcomes``).
     ``merged`` maps the parts (a, b) to the walk's merge steps for
     them, (part, weight) pairs, weight ``None`` for a unit weight and
     else the weight interned in ``canon``: ``merges(a, b)`` is asked
@@ -169,13 +166,10 @@ class RoutingTables(dict):
     is held by ``canon``, so no id it keys is reused.
     """
 
-    __slots__ = ("canon", "products", "sums", "negated", "merged")
+    __slots__ = ("negated", "merged")
 
     def __init__(self):
         super().__init__()
-        self.canon: dict = {_UNIT_KEY: one()}
-        self.products: dict[int, dict[int, XYPolynomial]] = {}
-        self.sums: dict[tuple[int, int], XYPolynomial] = {}
         self.negated: dict[int, XYPolynomial] = {}
         self.merged: dict[tuple[int, int], tuple] = {}
 
@@ -210,21 +204,16 @@ def routing_outcomes(
     it by the sum.  A product with a unit value is the weight itself,
     as ``*`` returns it.
 
-    The walk hash-conses its values by the three memos of its
-    ``RoutingTables``, which live as long as the tables do.  ``canon``
-    holds the one polynomial of every value built and of every merge
-    weight, keyed by ``hash(frozenset(terms.items()))``, an int; if
-    that int already holds different terms, the value is keyed by the
-    frozenset itself in the same dict, which no int equals, so values
-    stay canonical after a collision.  A merge weight new to ``canon``
-    is kept as the object ``merges`` gave.  ``products`` maps
-    id(weight), and then id(value), to their canonical product, and
-    ``sums`` maps (id(old), id(value)) to their canonical sum.  So a
-    repeated product or sum is looked up, not computed, across every
-    walk that shares the tables; only a miss multiplies or adds, into
-    a fresh dict, and equal values are one object.  The state's first
-    lone step of an untargeted walk stores its values with no lookup:
-    one step's keys are distinct, and the table is still empty.
+    The walk hash-conses its values by the memos of its
+    ``RoutingTables``, a ``polynomial._HashCons``, which live as long
+    as the tables do: ``canon`` holds every value built and every
+    merge weight, ``products`` maps id(weight), and then id(value), to
+    their canonical product, and ``sums`` maps (id(old), id(value)) to
+    their canonical sum.  So a repeated product or sum is looked up,
+    not computed, across every walk that shares the tables, and equal
+    values are one object.  The state's first lone step of an
+    untargeted walk stores its values with no lookup: one step's keys
+    are distinct, and the table is still empty.
 
     A fourth memo, ``merged``, holds the merge steps by parts (a, b).
     The first state that meets (a, b) asks ``merges(a, b)`` and stores
@@ -236,13 +225,13 @@ def routing_outcomes(
     that shares them, such as the ``table`` command's.
 
     Ids key the memos safely because every object whose id keys
-    ``products`` or ``sums`` is held by ``canon``, or is the unit
-    ``one()``, for as long as the ``RoutingTables`` lives: weights and
-    built values are interned, and a table's values are built values,
-    weights or the unit.  So no id is reused while the memos hold it,
-    even when a caller drops tables, and even when ``merges`` builds
-    fresh weights on every call; the weights of ``merged`` are held by
-    ``canon`` too.
+    ``products`` or ``sums`` is held by ``canon`` for as long as the
+    ``RoutingTables`` lives: weights and built values are interned, and
+    a table's values are built values, weights or the unit ``one()``,
+    which ``canon`` starts with.  So no id is reused while the memos
+    hold it, even when a caller drops tables, and even when ``merges``
+    builds fresh weights on every call; the weights of ``merged`` are
+    held by ``canon`` too.
 
     By the degree of the merges, an entry of state (k, m) has degree
     |alpha[k:]| + |beta[m:]| - |suffix|, at most
@@ -277,21 +266,8 @@ def routing_outcomes(
         last = len(target) - 1
     check = min(sum(alpha), sum(beta)) > MAX_DEGREE
     unit = one()
-    canon, products, sums = tables.canon, tables.products, tables.sums
+    intern, products, sums = tables.intern, tables.products, tables.sums
     merged = tables.merged
-
-    def intern(terms: dict[int, int], value=None) -> XYPolynomial:
-        # the canonical polynomial of terms; on a miss, value or terms wrapped
-        items = frozenset(terms.items())
-        key = hash(items)
-        found = canon.get(key)
-        if found is not None and found.terms != terms:
-            key = items
-            found = canon.get(key)
-        if found is None:
-            found = canon[key] = XYPolynomial._raw(terms) if value is None else value
-        return found
-
     # this walk's tables by state, whatever the mapping keeps
     walked: dict[tuple[int, int], dict] = {}
     for k in range(la, -1, -1):
@@ -319,16 +295,10 @@ def routing_outcomes(
                             if merge_steps is None:
                                 fresh = []
                                 for part, weight in merges(*parts).items():
-                                    if weight.terms == _UNIT_TERMS:
-                                        weight = None
-                                    else:
-                                        # held by canon, so its id is never
-                                        # reused; the object merges gave,
-                                        # not a wrapper, so the outcomes
-                                        # equal to it are objects later
-                                        # calls and the encoder meet again
-                                        weight = intern(weight.terms, weight)
-                                    fresh.append((part, weight))
+                                    # held by canon, so its id is never
+                                    # reused, however fresh merges's is
+                                    weight = intern(weight.terms)
+                                    fresh.append((part, None if weight is unit else weight))
                                 merge_steps = merged[parts] = tuple(fresh)
                             for part, weight in merge_steps:
                                 steps.append((after, part, weight))

@@ -23,9 +23,9 @@ it uses.  The walk reads ``cp_product(a, b)`` once per pair of parts
 (a, b) for as long as its ``RoutingTables`` live: once per call, or
 once per command in a ``table`` sweep.  The PAPER_LITERAL coefficient
 is the oracle-consistent one times (-1)**(|alpha| + |beta| - |gamma|);
-that sign is applied where a coefficient leaves the walk, one negation
-per value of the walk's memos, so equal signed coefficients are one
-object too.
+that sign is applied where the walk's outcomes leave it, by
+``_in_convention`` for both functions, one negation per value of the
+walk's memos, so equal signed coefficients are one object too.
 
 ``verify_expansion`` certifies a table in Z[x_1..x_n; y],
 n = len(alpha) + len(beta), with no polynomial in two x-variables.  Over
@@ -57,10 +57,11 @@ nonzero entry, and above those n bits its gamma, the nonzero entries
 packed in fields of one width.  So a step ORs a constant onto a key,
 and a cell's gamma is read off its key by a shift, in the table keyed
 once by packed gamma; no tuple is built per cell.  The walks of one
-check hash-cons their values, as the routing walk does but with memos
-of their own that live for the one ``verify_expansion`` call: the
-cells take few distinct values, so each product and sum is computed
-once per check and looked up by the ids of its operands after that.
+check hash-cons their values by a ``polynomial._HashCons``, as the
+routing walk does, but by one of their own that lives for the one
+``verify_expansion`` call: the cells take few distinct values, so
+each product and sum is computed once per check and looked up by the
+ids of its operands after that.
 Nothing is claimed for more x-variables than n.
 """
 
@@ -86,6 +87,7 @@ from .tableaux import (
 from .polynomial import (
     _UNIT_TERMS,
     XYPolynomial,
+    _HashCons,
     _add_into,
     _add_terms,
     _check_degree,
@@ -100,14 +102,15 @@ _SUBTREE_POSITIONS = 8
 
 
 def _in_convention(
-    value: XYPolynomial,
+    outcomes: dict,
     alpha: Sequence[int],
     beta: Sequence[int],
-    gamma: Sequence[int],
     convention: WeightConvention,
-) -> XYPolynomial:
-    """An oracle-consistent coefficient of M_gamma in M_alpha * M_beta,
-    written in ``convention``.
+    negated: dict,
+) -> dict:
+    """The routing walk's oracle-consistent outcomes for M_alpha * M_beta,
+    each row part tuple gamma with its coefficient, written in
+    ``convention``.
 
     The two conventions weigh a tableau alike up to the sign
     (-1)**(number of edge labels).  A row of shape c/a with content b
@@ -115,13 +118,22 @@ def _in_convention(
     skyline routing alpha and beta onto gamma has
     |alpha| + |beta| - |gamma| of them, and the paper-literal
     coefficient is the oracle-consistent one times
-    (-1)**(|alpha| + |beta| - |gamma|).
+    (-1)**(|alpha| + |beta| - |gamma|).  A negation is memoized in
+    ``negated`` by id(value), so equal signed values are one object;
+    the caller keeps every value it keys alive while ``negated`` lives.
     """
-    if convention is WeightConvention.PAPER_LITERAL and (
-        sum(alpha) + sum(beta) - sum(gamma)
-    ) % 2:
-        return -value
-    return value
+    if convention is not WeightConvention.PAPER_LITERAL:
+        return outcomes
+    total = sum(alpha) + sum(beta)
+    signed = {}
+    for parts, value in outcomes.items():
+        if (total - sum(parts)) % 2:
+            found = negated.get(id(value))
+            if found is None:
+                found = negated[id(value)] = -value
+            value = found
+        signed[parts] = value
+    return signed
 
 
 def structure_coefficient(
@@ -143,8 +155,7 @@ def structure_coefficient(
     """
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
-    value = outcomes.get(tuple(gamma), zero())
-    return _in_convention(value, alpha, beta, gamma, convention)
+    return _in_convention(outcomes, alpha, beta, convention, {}).get(tuple(gamma), zero())
 
 
 def skyline_census(
@@ -206,21 +217,10 @@ def product_expand(
     """
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, tables)
-    if convention is WeightConvention.PAPER_LITERAL:
-        # the sign of _in_convention, with |alpha| + |beta| summed once;
-        # a negation is memoized by id(value), a value that the tables'
-        # canon holds, or the outcomes while a memo of this call lives
-        negated = {} if tables is None else tables.negated
-        total = sum(alpha) + sum(beta)
-        signed = {}
-        for parts, value in outcomes.items():
-            if (total - sum(parts)) % 2:
-                found = negated.get(id(value))
-                if found is None:
-                    found = negated[id(value)] = -value
-                value = found
-            signed[parts] = value
-        outcomes = signed
+    # the tables' canon holds every value negated keys, and without
+    # tables the outcomes do, while this call's memo lives
+    negated = {} if tables is None else tables.negated
+    outcomes = _in_convention(outcomes, alpha, beta, convention, negated)
     return Expansion._raw(
         {
             Composition._raw(parts): value
@@ -249,28 +249,13 @@ def _cell_product(a: int, b: int) -> list[tuple[int, dict[int, int]]]:
     return coords
 
 
-class _CellTable(dict):
-    """e(a, b) by pair of parts, as ``_cell_table`` builds it, and the
-    three memos, ``canon``, ``products`` and ``sums``, that hash-cons
-    the values of every ``_cell_walk`` given this table; they live as
-    long as this mapping (see ``_cell_walk``).  The routing walk's
-    ``compositions.RoutingTables`` is a separate mapping, so the
-    certifier never meets the rule's values."""
-
-    __slots__ = ("canon", "products", "sums")
-
-    def __init__(self, coordinates):
-        super().__init__(coordinates)
-        self.canon: dict = {}
-        self.products: dict[int, dict[int, dict[int, int]]] = {}
-        self.sums: dict[tuple[int, int], dict[int, int]] = {}
-
-
-def _cell_table(alpha: Composition, beta: Composition) -> _CellTable:
+def _cell_table(alpha: Composition, beta: Composition) -> _HashCons:
     """e(a, b) as (c, coordinate) pairs, None for the unit coordinate,
     for every pair of parts a position can take: 0 or a part of alpha,
-    and 0 or a part of beta, with empty memos for the cell walk."""
-    return _CellTable(
+    and 0 or a part of beta, with fresh memos for the cell walk.  The
+    routing walk's ``compositions.RoutingTables`` is a separate
+    ``_HashCons``, so the certifier never meets the rule's values."""
+    return _HashCons(
         {
             (a, b): [(c, None if t == _UNIT_TERMS else t) for c, t in _cell_product(a, b)]
             for a in {0, *alpha}
@@ -320,40 +305,24 @@ def _cell_walk(
     dict.  A table is read only when its point is visited, so it is
     dropped then, and a step's memory falls as it goes.
 
-    The walk hash-conses its values by the three memos of ``e``, a
-    ``_CellTable``, which live as long as ``e`` does: every walk given
-    one ``e`` shares them.  ``canon`` holds the one dict of every value,
-    keyed by ``hash(frozenset(terms.items()))``, an int; if that int
-    already holds different terms, the value is keyed by the frozenset
-    itself in the same dict, which no int equals.  ``products`` maps
-    id(coordinate), and then id(value), to their canonical product, and
-    ``sums`` maps (id(old), id(value)) to their canonical sum.  Only a
-    miss calls ``_mul_terms`` or ``_add_terms``, into a fresh dict, so
-    equal values are one object.  Ids key the memos safely: the walk
-    first interns the values of ``states``, which may be fresh dicts
-    ``canon`` does not hold, so every table value is held by ``canon``
-    and every coordinate by ``e``; each object whose id keys a memo,
-    and each memo result, is thus held for as long as ``e`` lives, and
-    no id is reused while a memo holds it."""
+    The walk hash-conses its values by the memos of ``e``, a
+    ``polynomial._HashCons``, which live as long as ``e`` does: every
+    walk given one ``e`` shares them.  Its tables and memos hold the
+    terms dicts of the canonical polynomials in ``canon``: ``products``
+    maps id(coordinate), and then id(value), to their canonical
+    product, and ``sums`` maps (id(old), id(value)) to their canonical
+    sum, so equal values are one dict.  Ids key the memos safely: the
+    walk first interns the values of ``states``, which may be fresh
+    dicts ``canon`` does not hold, so every table value is held by a
+    polynomial of ``canon`` and every coordinate by ``e``; each object
+    whose id keys a memo, and each memo result, is thus held for as
+    long as ``e`` lives, and no id is reused while a memo holds it."""
     la, lb = len(alpha), len(beta)
     n = la + lb
-    canon, products, sums = e.canon, e.products, e.sums
-
-    def intern(terms: dict[int, int]) -> dict[int, int]:
-        # the canonical dict of terms, terms itself on a miss
-        items = frozenset(terms.items())
-        key = hash(items)
-        found = canon.get(key)
-        if found is not None and found != terms:
-            key = items
-            found = canon.get(key)
-        if found is None:
-            found = canon[key] = terms
-        return found
-
+    intern, products, sums = e.intern, e.products, e.sums
     for table in states.values():
         for prefix, terms in table.items():
-            table[prefix] = intern(terms)
+            table[prefix] = intern(terms).terms
     for i in range(start, stop):
         left = n - 1 - i  # the positions after this one
         walked: dict[tuple[int, int, int], dict] = {}
@@ -382,7 +351,7 @@ def _cell_walk(
                         else:
                             value = made.get(id(terms))
                             if value is None:
-                                value = made[id(terms)] = intern(_mul_terms(terms, coordinate))
+                                value = made[id(terms)] = intern(_mul_terms(terms, coordinate)).terms
                         old = get(cell)
                         if old is None:
                             out[cell] = value
@@ -390,7 +359,7 @@ def _cell_walk(
                             pair = (id(old), id(value))
                             total = sums.get(pair)
                             if total is None:
-                                total = sums[pair] = intern(_add_terms(old, value))
+                                total = sums[pair] = intern(_add_terms(old, value)).terms
                             out[cell] = total
         states = walked
     return states
@@ -429,12 +398,8 @@ def verify_expansion(
     ``_cell_table`` of the call, so they share its memos (see
     ``_cell_walk``): each product of a value by a coordinate, and each
     sum of two values, is computed once per call, and equal cells are
-    one object.  The memos die with the call.  Their ids stay safe
-    keys because the table's ``canon`` holds every value and the table
-    every coordinate for the whole call, and each subtree's input
-    values, already canonical, are interned again at its start.  The
-    memos are this module's own: the certifier never shares values
-    with the rule's ``compositions.RoutingTables``.
+    one object.  The memos die with the call, and are never the
+    rule's.
 
     Raises TypeError unless ``convention`` is a ``WeightConvention``,
     and ValueError before any work when min(|alpha|, |beta|) passes

@@ -50,18 +50,20 @@ keep one rule: a dict, once stored in a table, is never changed.  A
 value is stored as it is, or as a product or sum that ``_mul_terms``
 or ``_add_terms`` made into a fresh dict, so tables share values
 freely.  Both walks also hash-cons their values, one object per value,
-and compute a product or a sum only the first time their memos meet
-the pair of operands.  The routing walk keeps one polynomial per
-value, and its merge steps for each pair of parts, in its
-``RoutingTables``, for one call, or for the command in the walks of a
-``table`` sweep.  The cell walk keeps one terms dict per value in its
-``lrcalc._CellTable``, for one ``verify_expansion`` call.  The
-in-place helpers add only into a dict that their caller's own code is
-still filling: ``lrcalc._cell_product``, ``tableaux.row_weight_sum``
-and ``substitute``.  The cell walk keys its terms dicts by cell
-prefixes packed into ints as well, in a layout of its own (a bit mask
-of the nonzero x-positions below their parts), described in
-``lrcalc._cell_walk``; those keys are never monomials.
+by the memos of one ``_HashCons``, which states their rules once, and
+compute a product or a sum only the first time those memos meet the
+pair of operands.  The routing walk's ``_HashCons`` is its
+``compositions.RoutingTables``, which also keeps its merge steps for
+each pair of parts, for one call, or for the command in the walks of
+a ``table`` sweep; its values are the canonical polynomials.  The
+cell walk's is the ``lrcalc._cell_table`` of one ``verify_expansion``
+call; its values are the terms dicts of the canonical polynomials.
+The in-place helpers add only into a dict that their caller's own
+code is still filling: ``lrcalc._cell_product``,
+``tableaux.row_weight_sum`` and ``substitute``.  The cell walk keys
+its terms dicts by cell prefixes packed into ints as well, in a layout
+of its own (a bit mask of the nonzero x-positions below their parts),
+described in ``lrcalc._cell_walk``; those keys are never monomials.
 
 Order.  The canonical term order, used for printing and serialization,
 is graded lexicographic with the x-block before the y-block: higher
@@ -598,6 +600,50 @@ _set_terms = XYPolynomial.terms.__set__
 _set_hash = XYPolynomial._hash.__set__
 
 
+class _HashCons(dict):
+    """A mapping that a walk fills, beside the three memos that
+    hash-cons the walk's values (Filliâtre and Conchon, "Type-safe
+    modular hash-consing", 2006).  The memos live as long as this
+    mapping, and every walk given it shares them.
+
+    ``canon`` holds the one polynomial of every value interned, keyed
+    by ``hash(frozenset(terms.items()))``, an int; if that int already
+    holds different terms, the value is keyed by the frozenset itself
+    in the same dict, which no int equals, so values stay canonical
+    after a collision.  It starts with the unit ``one()``.
+    ``products`` maps the id of one operand, and then the id of the
+    other, to their canonical product, and ``sums`` maps the pair of
+    ids of two values to their canonical sum, so a repeated product or
+    sum is looked up, not computed; only a miss multiplies or adds,
+    into a fresh dict.  An id keys a memo safely only while its object
+    is held: each walk says why every object it keys by id is held for
+    as long as this mapping lives, so that no id is reused while a
+    memo holds it.
+    """
+
+    __slots__ = ("canon", "products", "sums")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.canon: dict = {_UNIT_KEY: _ONE}
+        self.products: dict[int, dict] = {}
+        self.sums: dict[tuple[int, int], object] = {}
+
+    def intern(self, terms: dict[int, int]) -> XYPolynomial:
+        """The canonical polynomial of ``terms``; on a miss, ``terms``
+        itself wrapped, not copied, so the caller never changes it."""
+        items = frozenset(terms.items())
+        key = hash(items)
+        found = self.canon.get(key)
+        if found is not None and found.terms != terms:
+            key = items
+            found = self.canon.get(key)
+        if found is None:
+            found = self.canon[key] = object.__new__(XYPolynomial)
+            _set_terms(found, terms)
+        return found
+
+
 def _cell_coordinates(
     p: XYPolynomial, n_x: int
 ) -> dict[tuple[int, ...], dict[int, int]]:
@@ -748,6 +794,8 @@ def y_var(index: int) -> XYPolynomial:
 _ZERO = XYPolynomial._raw({})
 _ONE = XYPolynomial._raw({0: 1})
 _UNIT_TERMS = {0: 1}
+# canon's key of the unit value, whose object every _HashCons seeds
+_UNIT_KEY = hash(frozenset(_UNIT_TERMS.items()))
 
 
 def zero() -> XYPolynomial:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,29 @@ class TestExitCodes:
             _, err = child.communicate(timeout=120)
         assert child.returncode == 141
         assert err == b""
+
+    @pytest.mark.parametrize(
+        "argv", [["product", "16", "16", "--format", "json"], ["coeff", "16", "16", "16"]]
+    )
+    def test_out_of_memory(self, argv):
+        # [16] * [16] has about 3**16 terms, more than a child bounded to
+        # 300 MB of address space can hold; the bound is set before the
+        # child starts, so no run of this test is unbounded
+        def bounded():
+            limit = 300_000 * 1024
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "dqsym.cli", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=bounded,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
 
     def test_explicit_zeros_only_on_tables(self):
         # only product and table print whole coefficient tables

@@ -604,7 +604,7 @@ class TestVerifyExpansion:
             for items in values:
                 seeded[items] = {0: -1000 - len(seeded)}
                 assert seeded[items] != dict(items)
-                e.canon[hash(items)] = seeded[items]
+                e.canon[hash(items)] = XYPolynomial._raw(seeded[items])
             states = lrcalc._cell_walk(alpha, beta, e, w, {(0, 0, 0): {0: {0: 1}}}, 0, n)
             assert self._cells(states, n, w) == product_cells(alpha, beta)
             ids = {id(t) for t in seeded.values()}

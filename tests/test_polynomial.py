@@ -9,6 +9,7 @@ from dqsym.lrcalc import product_expand
 from dqsym.polynomial import (
     Monomial,
     XYPolynomial,
+    _HashCons,
     _add_into,
     _add_terms,
     constant,
@@ -179,6 +180,45 @@ def test_add_terms_matches_add_into_on_a_copy():
             assert total == expected == (p + q).terms
             assert total is not a and total is not b
             assert (a, b) == kept
+
+
+class TestHashCons:
+    # the one hash-consing memo of both walks
+
+    def test_miss_wraps_the_dict_and_a_hit_returns_that_object(self):
+        memo = _HashCons()
+        terms = (x_var(1) * y_var(2) - y_var(3)).terms
+        found = memo.intern(terms)
+        assert type(found) is XYPolynomial and found.terms is terms
+        assert memo.intern(dict(terms)) is found
+        assert memo.intern(terms) is found
+        assert found == XYPolynomial._raw(dict(terms))
+
+    def test_the_unit_is_one(self):
+        memo = _HashCons()
+        assert memo.intern({0: 1}) is one()
+        assert list(memo.canon.values()) == [one()]
+
+    def test_collision_is_keyed_by_the_frozenset(self):
+        # an int key that holds different terms: the value is keyed by
+        # its frozenset, and the seeded object is never returned
+        memo = _HashCons()
+        terms = (y_var(1) - y_var(2)).terms
+        items = frozenset(terms.items())
+        seeded = memo.canon[hash(items)] = 7 * y_var(5)
+        found = memo.intern(terms)
+        assert found is not seeded and found.terms is terms
+        assert memo.canon[items] is found and memo.canon[hash(items)] is seeded
+        assert memo.intern(dict(terms)) is found
+
+    def test_instances_share_no_memo(self):
+        first, second = _HashCons(), _HashCons({"key": "value"})
+        assert second == {"key": "value"} and first == {}
+        terms = y_var(4).terms
+        found = first.intern(terms)
+        assert second.intern(dict(terms)) is not found
+        for name in ("canon", "products", "sums"):
+            assert getattr(first, name) is not getattr(second, name)
 
 
 class TestSubstitute:
