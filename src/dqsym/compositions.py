@@ -240,9 +240,13 @@ def routing_outcomes(
     product entry as it is written, from those sizes.
 
     With a ``target`` composition the walk keeps only the suffixes that
-    end ``target``, so it returns only the outcomes that end ``target``:
-    ``target`` itself when it has a routing, and any shorter outcome
-    that ends it.  A targeted walk never builds a suffix pair, and
+    end ``target`` and that the rows still to fill can complete: an
+    entry of state (k, m) with ``at`` target parts before it is kept
+    only if max(k, m) <= at <= k + m, since the rows before (k, m) route
+    alpha[:k] and beta[:m], so there are at least max(k, m) and at most
+    k + m of them.  So a state keeps at most min(k, m) + 1 suffixes, and
+    a targeted walk returns only ``target``, when it has a routing, and
+    else an empty dict.  A targeted walk never builds a suffix pair, and
     never reads or writes ``tables`` or the table mapping of the fresh
     ``RoutingTables`` it makes: only that one's memos serve it.
 
@@ -278,9 +282,13 @@ def routing_outcomes(
                 table = tables.get(pair)
             else:
                 table = None
+                # the rows before (k, m) route alpha[:k] and beta[:m]
+                low, high = max(k, m), k + m
             if table is None:
                 if k == la and m == lb:
-                    table = {(): unit}
+                    # the empty suffix has every target part before it
+                    keep = target is None or low <= last + 1 <= high
+                    table = {(): unit} if keep else {}
                 else:
                     # (table of the next state, row part, weight or None)
                     steps = []
@@ -317,8 +325,9 @@ def routing_outcomes(
                             continue
                         for suffix, value in after.items():
                             if target is not None:
+                                # the number of target parts before the entry
                                 at = last - len(suffix)
-                                if at < 0 or target[at] != part:
+                                if at < low or at > high or target[at] != part:
                                     continue
                             key = head + suffix
                             if weight is not None:

@@ -146,12 +146,13 @@ def structure_coefficient(
 
     Runs the routing walk of ``product_expand`` targeted at gamma
     (``compositions.routing_outcomes``), which keeps only the suffixes
-    of row parts that end gamma: a lone part must equal its row's part
-    and weighs 1; a merged row of c boxes weighs cp_product(a, b)[c].
-    The walk's tables hold at most len(gamma) + 1 suffixes per state,
-    and it equals the module's injection-pair definition because a
-    skyline's rows are chosen independently, so the skyline sum
-    factors row by row.
+    of row parts that end gamma and that the rows still to fill can
+    complete: a lone part must equal its row's part and weighs 1; a
+    merged row of c boxes weighs cp_product(a, b)[c].  The walk's table
+    of state (k, m) holds at most min(k, m) + 1 suffixes, and it returns
+    only gamma, when gamma has a routing.  It equals the module's
+    injection-pair definition because a skyline's rows are chosen
+    independently, so the skyline sum factors row by row.
     """
     _check_convention(convention)
     outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)

@@ -3,8 +3,10 @@
 ``product_expand`` and ``structure_coefficient`` walk the routings of
 alpha's and beta's parts once per state, by ``routing_outcomes``, the
 latter targeted at its gamma; the oracles enumerate every injection
-pair, or walk every path separately.  Walks that share their
-tables through a mapping must agree with fresh walks and leave the
+pair, or walk every path separately.  A targeted walk keeps only the
+entries whose number of target parts before them the rows still to
+fill can give, so it returns at most its target.  Walks that share
+their tables through a mapping must agree with fresh walks and leave the
 shared values unchanged, and the ``table`` command's mapping must keep
 only the tables a later pair can reuse.  The walk checks the degree
 limit of the packed exponents from the sizes of its entries.  Each
@@ -34,7 +36,7 @@ from dqsym.compositions import (
     overlapping_shuffles,
     routing_outcomes,
 )
-from dqsym.lrcalc import product_expand, structure_coefficient
+from dqsym.lrcalc import product_expand, structure_coefficient, support_candidates
 from dqsym.polynomial import XYPolynomial, one, y_var
 from dqsym.qsym import Expansion
 from dqsym.tableaux import WeightConvention, cp_product
@@ -197,6 +199,57 @@ def test_fresh_merge_weights_match_oracles():
                 assert targeted[tuple(gamma)] == injection_structure_coefficient(
                     alpha, beta, gamma
                 )
+
+
+class TestTargetedWalk:
+    # a state (k, m) keeps an entry only if the rows before it, which
+    # route alpha[:k] and beta[:m], can number the target parts before it
+    ONES = Composition([1] * 4), Composition([1] * 6), Composition([1] * 8)
+
+    @pytest.mark.parametrize("merges", [cp_product, fresh_merges])
+    def test_walk_returns_at_most_its_target(self, merges):
+        sweep = _size_at_most_4()
+        for alpha in sweep:
+            for beta in sweep:
+                too_long = Composition([1] * (len(alpha) + len(beta) + 1))
+                for gamma in support_candidates(alpha, beta) + [too_long]:
+                    outcomes = routing_outcomes(alpha, beta, merges, target=gamma)
+                    assert set(outcomes) <= {tuple(gamma)}
+                    for value in outcomes.values():
+                        assert value == injection_structure_coefficient(
+                            alpha, beta, gamma
+                        )
+
+    def test_walk_drops_outcomes_its_rows_cannot_complete(self):
+        # the outcomes (1^7) and (1^6) end the target too, but no row is
+        # left to fill the one or two target parts before them
+        alpha, beta, gamma = self.ONES
+        outcomes = routing_outcomes(alpha, beta, cp_product, target=gamma)
+        assert list(outcomes) == [tuple(gamma)]
+        assert outcomes[tuple(gamma)] == injection_structure_coefficient(
+            alpha, beta, gamma
+        )
+
+    def test_walk_builds_only_completable_entries(self, monkeypatch):
+        # keeping every suffix that ends the target takes 31 products
+        # and 80 sums; the entries the rows can complete take 18 and 45
+        counts = {"mul": 0, "add": 0}
+        mul_terms, add_terms = compositions_module._mul_terms, compositions_module._add_terms
+
+        def counting_mul(a, b):
+            counts["mul"] += 1
+            return mul_terms(a, b)
+
+        def counting_add(a, b):
+            counts["add"] += 1
+            return add_terms(a, b)
+
+        monkeypatch.setattr(compositions_module, "_mul_terms", counting_mul)
+        monkeypatch.setattr(compositions_module, "_add_terms", counting_add)
+        alpha, beta, gamma = self.ONES
+        routing_outcomes(alpha, beta, cp_product, target=gamma)
+        assert counts["mul"] <= 18
+        assert counts["add"] <= 45
 
 
 def _asking(merges=cp_product):
